@@ -1,0 +1,6 @@
+"""``python -m datamoll``: the same entry point as the ``datamoll`` command."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -19,7 +19,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,33 +64,36 @@ from .trainer import (
 DEFAULT_SIGMA_MAX = 32.0
 _SPECTRA_SEVERITY = 3
 
+
+def _field_defaults(cls) -> dict:
+    """Field defaults of a config dataclass as JSON values (None where none)."""
+    out = {}
+    for f in fields(cls):
+        value = None if f.default is MISSING else f.default
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+# The defaults are also the config-file schema (see _check_config).
 _DEFAULTS: dict = {
     "seed": 0,
     "dataset": None,
-    "schedule": {
-        "sigma_min": 0.3,
-        "sigma_max": None,  # resolved to the dataset width when available
-        "k_noise": 1.0,
-        "k_blur": 1.0,
-        "beta_alpha": 1.0,
-        "beta_beta": 2.0,
-        "mode_probs": [1 / 3, 1 / 3, 1 / 3],
-    },
+    # sigma_max is resolved to the dataset width when available.
+    "schedule": _field_defaults(ScheduleConfig),
     "train": {
-        "epochs": 100,
-        "batch_size": 128,
-        "lr": 0.01,
-        "hidden_units": 128,
-        "loss": "smoothed",
-        "mollify": True,
-        "momentum": 0.0,
-        "weight_decay": 0.0,
-        "samples_per_image": 1,
+        "lr" if name == "lr0" else name: value
+        for name, value in _field_defaults(TrainConfig).items()
+        if name not in ("schedule", "seed")
     },
     "bins": 15,
     "corruptions": False,
     "t_steps": 11,
 }
+
+# Types a config value may have, by the type of its default; bool is not an int.
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+# Keys whose default is null, with the type a value other than null must have.
+_NULLABLE = {"dataset": str, "sigma_max": float}
 
 
 def _parse_bool(text: str) -> bool:
@@ -184,23 +189,29 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-_FLAG_MAP = {
-    "seed": ("seed",),
-    "dataset": ("dataset",),
-    "k_noise": ("schedule", "k_noise"),
-    "k_blur": ("schedule", "k_blur"),
-    "beta_alpha": ("schedule", "beta_alpha"),
-    "beta_beta": ("schedule", "beta_beta"),
-    "mode_probs": ("schedule", "mode_probs"),
-    "mollify": ("train", "mollify"),
-    "loss": ("train", "loss"),
-    "epochs": ("train", "epochs"),
-    "batch_size": ("train", "batch_size"),
-    "lr": ("train", "lr"),
-    "bins": ("bins",),
-    "corruptions": ("corruptions",),
-    "t_steps": ("t_steps",),
-}
+def _check_config(value, default, path: str) -> None:
+    """Raise DataError unless ``value`` has the keys and types of ``default``."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"config key {path!r} must be an object")
+        for key, item in value.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in default:
+                raise DataError(f"unknown config key {sub!r}")
+            _check_config(item, default[key], sub)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise DataError(f"config key {path!r} must be a list")
+        for i, item in enumerate(value):
+            _check_config(item, default[0], f"{path}[{i}]")
+    elif not (value is None and default is None):
+        expected = _NULLABLE[path.split(".")[-1]] if default is None else type(default)
+        if type(value) not in _ACCEPTED[expected]:
+            raise DataError(
+                f"config key {path!r} must be of type {expected.__name__}, got {value!r}"
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"config key {path!r} must be finite, got {value!r}")
 
 
 def effective_config(ns: argparse.Namespace) -> dict:
@@ -213,39 +224,29 @@ def effective_config(ns: argparse.Namespace) -> dict:
         loaded = json.loads(path.read_text())
         if not isinstance(loaded, dict):
             raise DataError(f"config file {path} must contain a JSON object")
+        _check_config(loaded, _DEFAULTS, "")
         cfg = _merge(cfg, loaded)
-    for flag, keys in _FLAG_MAP.items():
-        value = getattr(ns, flag, None)
-        if value is None:
-            continue
-        node = cfg
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+    # Each flag's argparse dest is the name of the config key it overrides.
+    for section in (cfg, cfg["schedule"], cfg["train"]):
+        for key in section:
+            value = getattr(ns, key, None)
+            if value is not None:
+                section[key] = value
     return cfg
 
 
 def config_hash(cfg: dict, command: str) -> str:
-    payload = {"command": command, **{k: v for k, v in cfg.items() if k != "out"}}
+    payload = {"command": command, **cfg}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _schedule_from(cfg: dict, width: int | None) -> ScheduleConfig:
     s = cfg["schedule"]
-    sigma_max = s["sigma_max"]
-    if sigma_max is None:
-        sigma_max = float(width) if width is not None else DEFAULT_SIGMA_MAX
-        s["sigma_max"] = sigma_max  # record the resolved value
-    return ScheduleConfig(
-        sigma_max=float(sigma_max),
-        sigma_min=float(s["sigma_min"]),
-        k_noise=float(s["k_noise"]),
-        k_blur=float(s["k_blur"]),
-        beta_alpha=float(s["beta_alpha"]),
-        beta_beta=float(s["beta_beta"]),
-        mode_probs=tuple(float(p) for p in s["mode_probs"]),
-    )
+    if s["sigma_max"] is None:
+        # Resolved in place, so run.json records the value used.
+        s["sigma_max"] = float(width) if width is not None else DEFAULT_SIGMA_MAX
+    return ScheduleConfig(**s)
 
 
 def _write_run_metadata(out_dir: Path, command: str, cfg: dict) -> str:
@@ -347,8 +348,7 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_ingest(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    digest = config_hash(cfg, "ingest")
+    effective_config(ns)  # rejects a malformed --config; ingest reads no setting
     src = Path(ns.src)
     out = Path(ns.out)
     if src.is_file():
@@ -453,26 +453,12 @@ def cmd_train(ns: argparse.Namespace) -> int:
     cfg = effective_config(ns)
     dataset = _require_dataset(cfg)
     schedule = _schedule_from(cfg, dataset.width)
-    t = cfg["train"]
-    train_cfg = TrainConfig(
-        schedule=schedule,
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        lr0=float(t["lr"]),
-        hidden_units=int(t["hidden_units"]),
-        seed=int(cfg["seed"]),
-        loss=str(t["loss"]),
-        mollify=bool(t["mollify"]),
-        momentum=float(t["momentum"]),
-        weight_decay=float(t["weight_decay"]),
-        samples_per_image=int(t["samples_per_image"]),
-    )
+    t = dict(cfg["train"])
+    train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], lr0=t.pop("lr"), **t)
     out_dir = Path(ns.out)
     digest = _write_run_metadata(out_dir, "train", cfg)
     params, report = train(dataset, train_cfg)
-    params_path = out_dir / "params.bin"
-    save_params(params, params_path, train_cfg.seed, digest)
-    report.checkpoint = str(params_path)
+    save_params(params, out_dir / "params.bin", train_cfg.seed, digest)
     write_text(out_dir / "train_report.csv", report.to_csv())
     print(f"trained {train_cfg.epochs} epochs; final loss {report.epochs[-1].mean_loss:.6f}")
     return 0
@@ -487,17 +473,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     params, _header = load_params(ns.params)
     out_dir = Path(ns.out)
     digest = _write_run_metadata(out_dir, "eval", cfg)
-    bins = int(cfg["bins"])
-    records = predict_batch(params, dataset, tag="clean")
-    clean_report = evaluate(records, num_bins=bins)
+    bins = cfg["bins"]
+    records = [predict_batch(params, dataset, tag="clean")]
+    clean_report = evaluate(records[0], num_bins=bins)
     corrupted_report = None
     if cfg["corruptions"]:
-        corrupted_records = []
-        for tag, batch in corruption_grid(list(dataset.images), int(cfg["seed"])):
-            corrupted_records.extend(predict_records(params, batch, dataset.labels, tag=tag))
-        records.extend(corrupted_records)
-        corrupted_report = evaluate(corrupted_records, num_bins=bins)
-    write_records_csv(records, out_dir / "records.csv")
+        for tag, batch in corruption_grid(list(dataset.images), cfg["seed"]):
+            records.append(predict_records(params, batch, dataset.labels, tag=tag))
+        corrupted_report = evaluate(np.concatenate(records[1:]), num_bins=bins)
+    write_records_csv(np.concatenate(records), out_dir / "records.csv")
     payload = {"config_hash": digest, "seed": cfg["seed"], "clean": clean_report.to_dict()}
     if corrupted_report is not None:
         payload["corrupted"] = corrupted_report.to_dict()

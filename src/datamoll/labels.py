@@ -62,28 +62,36 @@ def one_hot(class_index: int, num_classes: int) -> SoftLabel:
     return SoftLabel(probs, LabelKind.ONE_HOT)
 
 
-def _check_gamma(gamma: float) -> float:
+def soft_labels(
+    classes: np.ndarray, gammas: np.ndarray, num_classes: int, kind: LabelKind
+) -> np.ndarray:
+    """One label per (class, gamma) pair: tempered, or smoothed if ``kind`` is SMOOTHED."""
+    y = np.zeros((classes.shape[0], num_classes))
+    y[np.arange(classes.shape[0]), classes] = 1.0
+    y *= (1.0 - gammas)[:, None]
+    if kind is LabelKind.SMOOTHED:
+        y += (gammas / num_classes)[:, None]
+    return y
+
+
+def _degrade(y: SoftLabel, gamma: float, kind: LabelKind) -> SoftLabel:
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return gamma
+    if y.kind is not LabelKind.ONE_HOT:
+        raise ValueError(f"{kind.value} labels are built from a one-hot label")
+    probs = soft_labels(np.argmax(y.probs)[None], np.array([gamma]), y.num_classes, kind)
+    return SoftLabel(probs[0], kind)
 
 
 def temper_label(y: SoftLabel, gamma: float) -> SoftLabel:
     """Scale the one-hot entry by (1 - gamma); zeros stay zero."""
-    gamma = _check_gamma(gamma)
-    if y.kind is not LabelKind.ONE_HOT:
-        raise ValueError("temper_label expects a one-hot label")
-    return SoftLabel((1.0 - gamma) * y.probs, LabelKind.TEMPERED)
+    return _degrade(y, gamma, LabelKind.TEMPERED)
 
 
 def smooth_label(y: SoftLabel, gamma: float) -> SoftLabel:
     """Mix the one-hot label with the uniform distribution at weight gamma."""
-    gamma = _check_gamma(gamma)
-    if y.kind is not LabelKind.ONE_HOT:
-        raise ValueError("smooth_label expects a one-hot label")
-    probs = (1.0 - gamma) * y.probs + gamma / y.num_classes
-    return SoftLabel(probs, LabelKind.SMOOTHED)
+    return _degrade(y, gamma, LabelKind.SMOOTHED)
 
 
 def dirichlet_log_density(f: np.ndarray, y: SoftLabel) -> float:

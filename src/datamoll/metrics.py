@@ -1,5 +1,10 @@
 """Prediction-quality metrics: error rate, NLL, and calibration error.
 
+Predictions are columnar: a NumPy record array with one row per example
+and the fields ``probs`` (the C-class probability vector), ``true_class``
+and ``tag``.  Build one with :func:`predictions`, which validates every
+row; the metrics take it, or any concatenation of such arrays.
+
 Expected calibration error bins records by confidence (the maximum
 predicted probability) into equal-width right-closed bins over (0, 1],
 then averages |accuracy - confidence| over bins weighted by occupancy.
@@ -8,11 +13,9 @@ then averages |accuracy - confidence| over bins weighted by occupancy.
 from __future__ import annotations
 
 import csv
-import json
-import math
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -22,66 +25,80 @@ from .ioutil import write_text
 NLL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """A predicted probability vector with its true class and a tag."""
+def predictions(probs, true_class, tag="") -> np.recarray:
+    """Validated record array of ``probs (N, C)``, ``true_class (N,)`` and ``tag``.
 
-    probs: np.ndarray
-    true_class: int
-    tag: str = ""
+    ``tag`` is one string for every row or an array of N strings.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise DataError(f"probs must be rows of >= 2 classes, got shape {probs.shape}")
+    n, num_classes = probs.shape
+    if not np.all((probs >= 0) & (probs <= 1)):
+        raise DataError("probabilities must lie in [0, 1]")
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if bad.size:
+        raise DataError(f"probabilities must sum to 1 within 1e-6, got {sums[bad[0]]!r}")
+    true_class = np.asarray(true_class)
+    if true_class.shape != (n,):
+        raise DataError(f"true_class must have shape ({n},), got {true_class.shape}")
+    out_of_range = (true_class < 0) | (true_class >= num_classes)
+    if np.any(out_of_range):
+        raise DataError(f"true class {true_class[out_of_range][0]} out of range")
+    tags = np.broadcast_to(np.asarray(tag, dtype=np.str_), (n,))
+    out = np.recarray(
+        n,
+        dtype=[("probs", np.float64, (num_classes,)), ("true_class", np.int64), ("tag", tags.dtype)],
+    )
+    out.probs = probs
+    out.true_class = true_class
+    out.tag = tags
+    return out
 
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] < 2:
-            raise DataError(f"probs must be a vector of >= 2 classes, got {probs.shape}")
-        if np.any(probs < 0) or np.any(probs > 1) or not np.all(np.isfinite(probs)):
-            raise DataError("probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-6:
-            raise DataError(f"probabilities must sum to 1 within 1e-6, got {probs.sum()!r}")
-        if not 0 <= self.true_class < probs.shape[0]:
-            raise DataError(f"true class {self.true_class} out of range")
-        object.__setattr__(self, "probs", probs)
 
-
-def _require_records(records: Sequence[PredictionRecord]) -> None:
-    if len(records) == 0:
+def _require_records(preds: np.ndarray) -> None:
+    if len(preds) == 0:
         raise DataError("metric computed over an empty record set")
 
 
-def error_rate(records: Sequence[PredictionRecord]) -> float:
+def _hits(preds: np.ndarray) -> np.ndarray:
+    """True where the argmax prediction (lowest index on ties) is the true class."""
+    return preds["probs"].argmax(axis=1) == preds["true_class"]
+
+
+def error_rate(preds: np.ndarray) -> float:
     """Fraction of records whose argmax prediction misses the true class."""
-    _require_records(records)
-    wrong = sum(1 for r in records if int(np.argmax(r.probs)) != r.true_class)
-    return wrong / len(records)
+    _require_records(preds)
+    return int(np.count_nonzero(~_hits(preds))) / len(preds)
 
 
-def avg_nll(records: Sequence[PredictionRecord]) -> float:
+def avg_nll(preds: np.ndarray) -> float:
     """Mean negative log probability of the true class (floored at 1e-12)."""
-    _require_records(records)
-    total = 0.0
-    for r in records:
-        total -= math.log(max(float(r.probs[r.true_class]), NLL_FLOOR))
-    return total / len(records)
+    _require_records(preds)
+    p_true = np.take_along_axis(preds["probs"], preds["true_class"][:, None], axis=1)[:, 0]
+    logs = np.log(np.maximum(p_true, NLL_FLOOR))
+    # A sequential sum (not np.sum's pairwise one) in record order; 0.0 -
+    # keeps a perfect score at +0.0.
+    return (0.0 - float(np.cumsum(logs)[-1])) / len(preds)
 
 
-def ece(records: Sequence[PredictionRecord], num_bins: int = 15) -> float:
+def ece(preds: np.ndarray, num_bins: int = 15) -> float:
     """Expected calibration error over equal-width confidence bins.
 
     Bin b covers ((b-1)/num_bins, b/num_bins]; a confidence of exactly 0
     falls into the first bin.  Empty bins contribute nothing.
     """
-    _require_records(records)
+    _require_records(preds)
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     edges = np.arange(1, num_bins + 1) / num_bins
-    conf = np.array([float(np.max(r.probs)) for r in records])
-    correct = np.array(
-        [1.0 if int(np.argmax(r.probs)) == r.true_class else 0.0 for r in records]
-    )
+    conf = preds["probs"].max(axis=1)
+    correct = _hits(preds).astype(np.float64)
     bins = np.searchsorted(edges, conf, side="left")
     bins = np.minimum(bins, num_bins - 1)
     total = 0.0
-    n = len(records)
+    n = len(preds)
     for b in range(num_bins):
         members = bins == b
         count = int(members.sum())
@@ -110,25 +127,24 @@ class EvalReport:
         return out
 
 
-def evaluate(records: Sequence[PredictionRecord], num_bins: int = 15) -> EvalReport:
-    """Overall report plus one sub-report per distinct tag."""
-    _require_records(records)
-    report = EvalReport(
-        error=error_rate(records),
-        nll=avg_nll(records),
-        ece=ece(records, num_bins),
-        count=len(records),
+def _report(preds: np.ndarray, num_bins: int) -> EvalReport:
+    return EvalReport(
+        error=error_rate(preds),
+        nll=avg_nll(preds),
+        ece=ece(preds, num_bins),
+        count=len(preds),
     )
-    tags = sorted({r.tag for r in records})
-    if len(tags) > 1 or (tags and tags[0] != ""):
-        for tag in tags:
-            group = [r for r in records if r.tag == tag]
-            report.per_tag[tag] = EvalReport(
-                error=error_rate(group),
-                nll=avg_nll(group),
-                ece=ece(group, num_bins),
-                count=len(group),
-            )
+
+
+def evaluate(preds: np.ndarray, num_bins: int = 15) -> EvalReport:
+    """Overall report plus one sub-report per distinct tag."""
+    _require_records(preds)
+    report = _report(preds, num_bins)
+    tags = preds["tag"]
+    distinct = np.unique(tags)
+    if len(distinct) > 1 or distinct[0] != "":
+        for tag in distinct:
+            report.per_tag[str(tag)] = _report(preds[tags == tag], num_bins)
     return report
 
 
@@ -144,38 +160,37 @@ def format_report_table(report: EvalReport, title: str = "overall") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_records_csv(records: Sequence[PredictionRecord], path: str | Path) -> None:
+def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
     """CSV with header index,tag,true_class,p0,...,p{C-1}."""
-    _require_records(records)
-    num_classes = records[0].probs.shape[0]
-    rows = [["index", "tag", "true_class"] + [f"p{i}" for i in range(num_classes)]]
-    for i, r in enumerate(records):
-        if r.probs.shape[0] != num_classes:
-            raise DataError("records have inconsistent class counts")
-        rows.append([str(i), r.tag, str(r.true_class)] + [repr(float(p)) for p in r.probs])
-    import io
-
+    _require_records(preds)
+    probs = preds["probs"]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "tag", "true_class"] + [f"p{i}" for i in range(probs.shape[1])])
+    columns = zip(preds["tag"].tolist(), preds["true_class"].tolist(), probs.tolist())
+    # csv writes a float as its repr, so probabilities round-trip exactly.
+    writer.writerows([i, tag, cls, *row] for i, (tag, cls, row) in enumerate(columns))
     write_text(path, buf.getvalue())
 
 
-def read_records_csv(path: str | Path) -> list[PredictionRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["index", "tag", "true_class"]:
-            raise DataError(f"{path} is not a prediction-record CSV")
-        records = []
-        for row in reader:
-            probs = np.array([float(v) for v in row[3:]])
-            records.append(PredictionRecord(probs, int(row[2]), row[1]))
-    if not records:
+def read_records_csv(path: str | Path) -> np.recarray:
+    """Read a file written by :func:`write_records_csv`, validating every row."""
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a prediction-record CSV: {exc}") from None
+    if not table or table[0][:3] != ["index", "tag", "true_class"]:
+        raise DataError(f"{path} is not a prediction-record CSV")
+    header, rows = table[0], table[1:]
+    if not rows:
         raise DataError(f"{path} contains no records")
-    return records
-
-
-def write_report_json(report: EvalReport, path: str | Path, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload.update(report.to_dict())
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path} row {i} has {len(row)} fields, its header {len(header)}")
+    try:
+        probs = np.array([[float(v) for v in row[3:]] for row in rows])
+        true_class = np.array([int(row[2]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path} has a malformed number: {exc}") from None
+    return predictions(probs, true_class, np.array([row[1] for row in rows], dtype=np.str_))

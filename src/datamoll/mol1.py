@@ -118,6 +118,9 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
     manifest = json.loads(mpath.read_text())
+    for key in ("mean", "std"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise DataError(f"manifest {mpath} has no {key!r} field")
     stats = ChannelStats(
         mean=np.asarray(manifest["mean"], dtype=np.float64),
         std=np.asarray(manifest["std"], dtype=np.float64),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import corruption_grid
-from .metrics import avg_nll, ece, error_rate
+from .metrics import evaluate
 from .schedules import ScheduleConfig
 from .streams import derive_seed
 from .synth import grating_dataset, standardized_dataset
@@ -83,20 +83,19 @@ def run_study(
     for name, mollify in (("baseline", False), ("mollified", True)):
         cfg = TrainConfig(schedule=schedule, epochs=epochs, seed=seed, mollify=mollify)
         params, _report = train(ds_train, cfg)
-        clean = predict_batch(params, ds_test, tag="clean")
-        corrupted = []
-        per_tag = {}
-        for tag, batch in corruption_grid(list(ds_test.images), corruption_seed):
-            records = predict_records(params, batch, ds_test.labels, tag=tag)
-            per_tag[tag] = error_rate(records)
-            corrupted.extend(records)
+        clean = evaluate(predict_batch(params, ds_test, tag="clean"))
+        cells = [
+            predict_records(params, batch, ds_test.labels, tag=tag)
+            for tag, batch in corruption_grid(list(ds_test.images), corruption_seed)
+        ]
+        corrupted = evaluate(np.concatenate(cells))
         arms[name] = ArmResult(
-            clean_error=error_rate(clean),
-            clean_ece=ece(clean),
-            corrupted_error=error_rate(corrupted),
-            corrupted_ece=ece(corrupted),
-            corrupted_nll=avg_nll(corrupted),
-            per_tag_error=per_tag,
+            clean_error=clean.error,
+            clean_ece=clean.ece,
+            corrupted_error=corrupted.error,
+            corrupted_ece=corrupted.ece,
+            corrupted_nll=corrupted.nll,
+            per_tag_error={tag: rep.error for tag, rep in corrupted.per_tag.items()},
         )
     return StudyResult(seed=seed, baseline=arms["baseline"], mollified=arms["mollified"])
 

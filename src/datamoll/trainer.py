@@ -10,6 +10,7 @@ and per-batch mollification all derive from disjoint Philox streams.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,8 +20,9 @@ import numpy as np
 
 from .errors import DataError, TrainingDivergedError
 from .ioutil import write_bytes
+from .labels import LabelKind, soft_labels
 from .likelihood import log_normalizer_Z, log_normalizer_grad
-from .metrics import PredictionRecord
+from .metrics import predictions
 from .mol1 import Mol1Dataset
 from .mollifier import mollify_batch
 from .schedules import ScheduleConfig
@@ -47,8 +49,6 @@ class TrainConfig:
     seed: int = 0
     loss: str = "smoothed"
     mollify: bool = True
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     samples_per_image: int = 1
 
     def __post_init__(self) -> None:
@@ -60,8 +60,6 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.samples_per_image < 1:
             raise ValueError("samples_per_image must be >= 1")
-        if not 0.0 <= self.momentum < 1.0 or self.weight_decay < 0.0:
-            raise ValueError("momentum must lie in [0, 1) and weight_decay be >= 0")
 
 
 @dataclass
@@ -90,10 +88,9 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
-    """Per-epoch training statistics and the final checkpoint reference."""
+    """Per-epoch training statistics."""
 
     epochs: list[EpochStats] = field(default_factory=list)
-    checkpoint: str | None = None
 
     def to_csv(self) -> str:
         lines = ["epoch,loss,lr,seconds"]
@@ -214,24 +211,16 @@ def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 + math.cos(math.pi * epoch / cfg.epochs)) / 2.0
 
 
-def _soft_labels(labels: np.ndarray, gammas: np.ndarray, num_classes: int, kind: str) -> np.ndarray:
-    y = np.zeros((labels.shape[0], num_classes))
-    y[np.arange(labels.shape[0]), labels] = 1.0
-    y *= (1.0 - gammas)[:, None]
-    if kind in ("smoothed", "normalized"):
-        y += (gammas / num_classes)[:, None]
-    return y
-
-
 def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
     """Train on a standardized MOL1 dataset; deterministic for a fixed seed."""
     n = dataset.count
     input_dim = dataset.height * dataset.width * dataset.channels
     params = init_params(input_dim, cfg.hidden_units, dataset.num_classes, cfg.seed)
-    velocity = {name: np.zeros_like(arr) for name, arr in params.blocks()}
     flat = dataset.images.reshape(n, input_dim)
     report = TrainReport()
     include_normalizer = cfg.loss == "normalized"
+    # The normalized likelihood scores smoothed targets.
+    label_kind = LabelKind.TEMPERED if cfg.loss == "tempered" else LabelKind.SMOOTHED
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -255,20 +244,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
                 x = flat[idx]
                 gammas = np.zeros(idx.shape[0])
                 labels = dataset.labels[idx]
-            y = _soft_labels(labels, gammas, dataset.num_classes, cfg.loss)
+            y = soft_labels(labels, gammas, dataset.num_classes, label_kind)
             loss, grads = _batch_loss_grad(params, x, y, include_normalizer)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             for name, arr in params.blocks():
-                g = grads[name]
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * arr
-                if cfg.momentum:
-                    velocity[name] = cfg.momentum * velocity[name] + g
-                    g = velocity[name]
-                arr -= lr * g
+                arr -= lr * grads[name]
             if not params.all_finite():
                 raise TrainingDivergedError(
                     f"non-finite parameters at epoch {epoch}, batch {batch_no}"
@@ -285,29 +268,23 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
     return params, report
 
 
-def predict_batch(params: MlpParams, dataset: Mol1Dataset, tag: str = "") -> list[PredictionRecord]:
-    """One record per example with its full probability vector."""
-    n = dataset.count
+def predict_batch(params: MlpParams, dataset: Mol1Dataset, tag: str = "") -> np.recarray:
+    """Predictions for every example of a dataset whose size matches the weights."""
     input_dim = dataset.height * dataset.width * dataset.channels
     if input_dim != params.w1.shape[1]:
         raise DataError(
             f"dataset dimension {input_dim} does not match weights ({params.w1.shape[1]})"
         )
-    logp, _, _ = _batch_forward(params, dataset.images.reshape(n, input_dim))
-    probs = np.minimum(np.exp(logp), 1.0)
-    return [
-        PredictionRecord(probs[i], int(dataset.labels[i]), tag) for i in range(n)
-    ]
+    return predict_records(params, dataset.images, dataset.labels, tag)
 
 
 def predict_records(
     params: MlpParams, images: np.ndarray, labels: np.ndarray, tag: str = ""
-) -> list[PredictionRecord]:
-    """Records for raw (N, H, W, C) images with integer labels."""
+) -> np.recarray:
+    """Predictions (see :func:`metrics.predictions`) for (N, H, W, C) images."""
     n = images.shape[0]
     logp, _, _ = _batch_forward(params, images.reshape(n, -1))
-    probs = np.minimum(np.exp(logp), 1.0)
-    return [PredictionRecord(probs[i], int(labels[i]), tag) for i in range(n)]
+    return predictions(np.minimum(np.exp(logp), 1.0), labels, tag)
 
 
 _PARAMS_MAGIC = b"MLP1"
@@ -317,8 +294,6 @@ def save_params(
     params: MlpParams, path: str | Path, seed: int, config_hash: str
 ) -> None:
     """Flat little-endian float32 blob behind a length-prefixed JSON header."""
-    import json
-
     header = {
         "shapes": {name: list(arr.shape) for name, arr in params.blocks()},
         "seed": int(seed),
@@ -333,17 +308,18 @@ def save_params(
 
 
 def load_params(path: str | Path) -> tuple[MlpParams, dict]:
-    import json
-
     raw = Path(path).read_bytes()
     if raw[:4] != _PARAMS_MAGIC:
         raise DataError(f"{path} is not a parameter file")
     head_len = int.from_bytes(raw[4:8], "little")
     header = json.loads(raw[8 : 8 + head_len].decode("utf-8"))
+    try:
+        shapes = {name: tuple(header["shapes"][name]) for name in ("w1", "b1", "w2", "b2")}
+    except (KeyError, TypeError):
+        raise DataError(f"{path} header has no valid 'shapes' field") from None
     offset = 8 + head_len
     arrays = {}
-    for name in ("w1", "b1", "w2", "b2"):
-        shape = tuple(header["shapes"][name])
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         arrays[name] = arr.astype(np.float64).reshape(shape)

@@ -22,7 +22,7 @@ from datamoll.analysis import (
 )
 from datamoll.labels import dirichlet_log_density, one_hot, smooth_label, temper_label
 from datamoll.likelihood import log_normalizer_Z, mc_log_marginal
-from datamoll.metrics import PredictionRecord, ece
+from datamoll.metrics import ece, predictions
 from datamoll.mol1 import save_mol1
 from datamoll.mollifier import heat_blur
 from datamoll.schedules import ScheduleConfig, alpha_sigma, blur_sigma, gamma_noise
@@ -318,10 +318,11 @@ def test_criterion_11_ece_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         c = int(rng.integers(2, 6))
-        records = []
+        rows, classes = [], []
         for _ in range(n):
-            probs = rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0))
-            records.append(PredictionRecord(probs, int(rng.integers(0, c))))
+            rows.append(rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0)))
+            classes.append(int(rng.integers(0, c)))
+        records = predictions(rows, classes)
         bins = int(rng.integers(1, 25))
         worst = max(worst, abs(ece(records, bins) - brute_force_ece(records, bins)))
     assert worst <= 1e-12

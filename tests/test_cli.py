@@ -1,12 +1,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from datamoll.cli import main
+import datamoll
+from datamoll.cli import _DEFAULTS, main
 from datamoll.metrics import read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
@@ -307,3 +315,134 @@ class TestConfigAndErrors:
         before = dataset_path.read_bytes()
         main(["mollify", "--dataset", str(dataset_path), "--out", str(tmp_path / "m")])
         assert dataset_path.read_bytes() == before
+
+
+def _write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"train": {"epoch": 1}}, "train.epoch"),  # a typo of epochs
+            ({"schedule": 5}, "schedule"),
+            ({"train": {"momentum": 0.9}}, "train.momentum"),  # a removed knob
+            ({"train": {"mollify": 1}}, "train.mollify"),
+            ({"train": {"epochs": 2.0}}, "train.epochs"),
+            ({"seed": True}, "seed"),
+            ({"schedule": {"mode_probs": [0.5, "a", 0.5]}}, "schedule.mode_probs[1]"),
+            ({"schedule": {"mode_probs": 0.5}}, "schedule.mode_probs"),
+            ({"dataset": 5}, "dataset"),
+            ({"schedule": {"k_noise": float("nan")}}, "schedule.k_noise"),
+            ({"train": {"lr": float("inf")}}, "train.lr"),
+        ],
+    )
+    def test_rejects_with_key_path(self, dataset_path, tmp_path, capsys, config, key):
+        out = tmp_path / "o"
+        argv = ["train", "--config", _write_config(tmp_path / "c.json", config)]
+        code = main(argv + ["--dataset", str(dataset_path), "--out", str(out)])
+        assert code == 3
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_floats_accept_ints_and_null_defaults_accept_values(self, tmp_path):
+        config = {"schedule": {"k_noise": 2, "sigma_max": 16}, "train": {"lr": 1}, "dataset": None}
+        out = tmp_path / "o"
+        argv = ["schedule-dump", "--config", _write_config(tmp_path / "c.json", config)]
+        assert main(argv + ["--out", str(out)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["config"]["schedule"]["k_noise"] == 2
+        assert meta["config"]["schedule"]["sigma_max"] == 16
+
+    def test_defaults_follow_the_config_dataclasses(self):
+        from datamoll.schedules import ScheduleConfig
+        from datamoll.trainer import TrainConfig
+
+        assert _DEFAULTS["train"]["lr"] == TrainConfig.lr0 == 0.01
+        assert _DEFAULTS["train"]["epochs"] == TrainConfig.epochs
+        assert set(_DEFAULTS["train"]) == {
+            "epochs", "batch_size", "lr", "hidden_units", "loss", "mollify", "samples_per_image"
+        }
+        assert _DEFAULTS["schedule"]["mode_probs"] == list(ScheduleConfig.mode_probs)
+        assert _DEFAULTS["schedule"]["sigma_max"] is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        path=st.sampled_from(
+            [(key,) for key in _DEFAULTS]
+            + [(block, key) for block in ("schedule", "train") for key in _DEFAULTS[block]]
+        )
+        | st.tuples(st.text(max_size=8))
+        | st.tuples(st.sampled_from(["schedule", "train"]), st.text(max_size=8)),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_fuzzed_config_gives_success_or_data_error(self, path, value):
+        config = value
+        for key in reversed(path):
+            config = {key: config}
+        known = path[0] in _DEFAULTS and (len(path) == 1 or path[1] in _DEFAULTS[path[0]])
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["schedule-dump", "--config", _write_config(Path(tmp) / "c.json", config)]
+            code = main(argv + ["--out", str(Path(tmp) / "o"), "--t-steps", "3"])
+        assert code in (0, 3)
+        if not known:
+            assert code == 3
+
+
+class TestBadFileFields:
+    @pytest.fixture
+    def files(self, tmp_path):
+        raw, labels = grating_dataset(8, seed=2)
+        data = tmp_path / "d.mol1"
+        save_mol1(standardized_dataset(raw, labels, 4, provenance="fields"), data)
+        params = tmp_path / "p.bin"
+        zeros = MlpParams(np.zeros((8, 256)), np.zeros(8), np.zeros((4, 8)), np.zeros(4))
+        save_params(zeros, params, seed=0, config_hash="fields")
+        return data, params
+
+    def _eval(self, data, params, tmp_path):
+        return main(["eval", str(params), "--dataset", str(data), "--out", str(tmp_path / "e")])
+
+    def test_intact_files_evaluate(self, files, tmp_path):
+        assert self._eval(*files, tmp_path) == 0
+
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_manifest_without_field(self, files, tmp_path, capsys, field):
+        data, params = files
+        manifest = Path(str(data) + ".json")
+        content = json.loads(manifest.read_text())
+        del content[field]
+        manifest.write_text(json.dumps(content))
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(field) in err
+
+    def test_params_header_without_shapes(self, files, tmp_path, capsys):
+        data, params = files
+        raw = params.read_bytes()
+        head_len = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + head_len])
+        del header["shapes"]
+        head = json.dumps(header).encode()
+        params.write_bytes(raw[:4] + len(head).to_bytes(4, "little") + head + raw[8 + head_len :])
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(params) in err and "'shapes'" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(datamoll.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "datamoll", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"datamoll {datamoll.__version__}"

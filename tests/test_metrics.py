@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,77 +10,82 @@ from pytest import approx
 
 from datamoll.errors import DataError
 from datamoll.metrics import (
-    PredictionRecord,
     avg_nll,
     ece,
     error_rate,
     evaluate,
     format_report_table,
+    predictions,
     read_records_csv,
     write_records_csv,
 )
 from tests.oracles import brute_force_ece
 
 
-def record(probs, true_class, tag=""):
-    return PredictionRecord(np.asarray(probs, dtype=np.float64), true_class, tag)
+def repeated(probs, true_class, times=1, tag=""):
+    """``times`` identical prediction rows."""
+    return predictions([probs] * times, [true_class] * times, tag)
+
+
+def join(*parts):
+    return np.concatenate(parts)
 
 
 def random_records(rng, n, c=4):
-    out = []
+    rows, classes = [], []
     for _ in range(n):
-        probs = rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0))
-        out.append(record(probs, int(rng.integers(0, c))))
-    return out
+        rows.append(rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0)))
+        classes.append(int(rng.integers(0, c)))
+    return predictions(rows, classes)
 
 
 class TestErrorRate:
     def test_all_correct(self):
-        recs = [record([0.9, 0.1], 0)] * 5
+        recs = repeated([0.9, 0.1], 0, 5)
         assert error_rate(recs) == 0.0
 
     def test_all_wrong(self):
-        recs = [record([0.9, 0.1], 1)] * 5
+        recs = repeated([0.9, 0.1], 1, 5)
         assert error_rate(recs) == 1.0
 
     def test_counting(self):
-        recs = [record([0.9, 0.1], 0)] * 7 + [record([0.9, 0.1], 1)] * 3
+        recs = join(repeated([0.9, 0.1], 0, 7), repeated([0.9, 0.1], 1, 3))
         assert error_rate(recs) == approx(0.3)
 
     def test_tie_broken_by_lowest_index(self):
-        recs = [record([0.5, 0.5], 0), record([0.5, 0.5], 1)]
+        recs = predictions([[0.5, 0.5], [0.5, 0.5]], [0, 1])
         assert error_rate(recs) == approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            error_rate([])
+            error_rate(predictions(np.zeros((0, 2)), []))
 
 
 class TestAvgNll:
     def test_perfect(self):
-        assert avg_nll([record([1.0, 0.0], 0)]) == 0.0
+        assert avg_nll(repeated([1.0, 0.0], 0)) == 0.0
 
     def test_uniform(self):
-        recs = [record(np.full(10, 0.1), 3)] * 4
+        recs = repeated(np.full(10, 0.1), 3, 4)
         assert avg_nll(recs) == approx(math.log(10.0))
 
     def test_two_records(self):
-        recs = [record([0.5, 0.5], 0), record([0.25, 0.75], 0)]
+        recs = predictions([[0.5, 0.5], [0.25, 0.75]], [0, 0])
         assert avg_nll(recs) == approx((math.log(2.0) + math.log(4.0)) / 2.0)
         assert avg_nll(recs) == approx(1.039721, abs=1e-6)
 
     def test_floor_keeps_finite(self):
-        recs = [record([1.0, 0.0], 1)]
+        recs = repeated([1.0, 0.0], 1)
         assert avg_nll(recs) == approx(-math.log(1e-12))
 
 
 class TestEce:
     def test_confident_and_correct(self):
-        recs = [record([1.0, 0.0], 0)] * 10
+        recs = repeated([1.0, 0.0], 0, 10)
         assert ece(recs) == 0.0
 
     def test_single_bin_gap(self):
-        recs = [record([0.8, 0.2], 0)] * 5 + [record([0.8, 0.2], 1)] * 5
+        recs = join(repeated([0.8, 0.2], 0, 5), repeated([0.8, 0.2], 1, 5))
         assert ece(recs) == approx(0.3, abs=1e-12)
 
     def test_matches_brute_force_small(self):
@@ -103,13 +110,12 @@ class TestEce:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
         recs = random_records(rng, 64)
-        shuffled = list(recs)
-        rng.shuffle(shuffled)
+        shuffled = recs[rng.permutation(len(recs))]
         assert ece(recs) == approx(ece(shuffled), abs=1e-15)
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):
-            ece([record([1.0, 0.0], 0)], 0)
+            ece(repeated([1.0, 0.0], 0), 0)
 
 
 class TestMeanDecomposition:
@@ -117,7 +123,7 @@ class TestMeanDecomposition:
         rng = np.random.default_rng(8)
         a = random_records(rng, 30)
         b = random_records(rng, 50)
-        both = a + b
+        both = join(a, b)
         for metric in (error_rate, avg_nll):
             combined = metric(both)
             expected = (30 * metric(a) + 50 * metric(b)) / 80
@@ -126,7 +132,7 @@ class TestMeanDecomposition:
 
 class TestEvaluateAndIo:
     def test_evaluate_with_tags(self):
-        recs = [record([0.9, 0.1], 0, "clean")] * 4 + [record([0.6, 0.4], 1, "noisy")] * 6
+        recs = join(repeated([0.9, 0.1], 0, 4, "clean"), repeated([0.6, 0.4], 1, 6, "noisy"))
         rep = evaluate(recs)
         assert rep.count == 10
         assert set(rep.per_tag) == {"clean", "noisy"}
@@ -145,19 +151,92 @@ class TestEvaluateAndIo:
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         recs = random_records(rng, 12)
-        recs[0] = record(recs[0].probs, recs[0].true_class, "noise-3")
+        recs = join(repeated(recs[0].probs, recs[0].true_class, tag="noise-3"), recs[1:])
         path = tmp_path / "records.csv"
         write_records_csv(recs, path)
         back = read_records_csv(path)
         assert len(back) == len(recs)
-        for a, b in zip(recs, back):
-            assert np.array_equal(a.probs, b.probs)
-            assert a.true_class == b.true_class and a.tag == b.tag
+        assert np.array_equal(back.probs, recs["probs"])
+        assert np.array_equal(back.true_class, recs["true_class"])
+        assert np.array_equal(back.tag, recs["tag"])
 
     def test_record_validation(self):
         with pytest.raises(DataError):
-            record([0.7, 0.7], 0)
+            repeated([0.7, 0.7], 0)
         with pytest.raises(DataError):
-            record([1.2, -0.2], 0)
+            repeated([1.2, -0.2], 0)
         with pytest.raises(DataError):
-            record([0.5, 0.5], 2)
+            repeated([0.5, 0.5], 2)
+
+
+class TestReadRecordsCsvInput:
+    def write(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,a,0,0.5,0.5", "1,a,0,0.2,0.3,0.5"],
+            ["0,a,0,0.2,0.3,0.5", "1,a,0,0.2,0.3,0.5"],  # more classes than the header
+        ],
+    )
+    def test_rows_with_other_class_counts_rejected(self, tmp_path, rows):
+        text = "\n".join(["index,tag,true_class,p0,p1"] + rows) + "\n"
+        with pytest.raises(DataError):
+            read_records_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "index,tag\n",
+            "index,tag,true_class,p0,p1\n",
+            "index,tag,true_class,p0\n0,a,0,1.0\n",
+            "index,tag,true_class,p0,p1\n0,a,x,0.5,0.5\n",
+            "index,tag,true_class,p0,p1\n0,a,0,0.5,y\n",
+            "index,tag,true_class,p0,p1\n0,a,99999999999999999999999,0.5,0.5\n",
+            "index,tag,true_class,p0,p1\n0,a,0,nan,0.5\n",
+        ],
+    )
+    def test_malformed_files_rejected(self, tmp_path, text):
+        with pytest.raises(DataError):
+            read_records_csv(self.write(tmp_path, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(["0", "1", "2", "-1", "0.5", "0.25", "1.0", "1e-3", "x", "", "a b"]),
+                min_size=0,
+                max_size=6,
+            ),
+            max_size=5,
+        ),
+        classes=st.integers(0, 3),
+    )
+    def test_fuzzed_file_reads_or_raises_data_error(self, rows, classes):
+        header = ["index", "tag", "true_class"] + [f"p{i}" for i in range(classes)]
+        text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_text(text)
+            try:
+                back = read_records_csv(path)
+            except DataError:
+                return
+        assert len(back) == len(rows) and all(len(row) == len(header) for row in rows)
+        assert np.allclose(back.probs.sum(axis=1), 1.0, atol=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.text(max_size=120))
+    def test_fuzzed_text_reads_or_raises_data_error(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_text("index,tag,true_class,p0,p1\n" + body)
+            try:
+                back = read_records_csv(path)
+            except DataError:
+                return
+        assert back.probs.shape == (len(back), 2)
