@@ -21,6 +21,7 @@ from .errors import DataError
 from .mollifier import blur_image, heat_blur
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma
+from .streams import stream
 from .tensors import ChannelStats, dct2d, destandardize, ensure_image
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
@@ -75,19 +76,25 @@ def corrupt(
     raise ValueError(f"unknown corruption kind {kind!r}; expected one of {CORRUPTION_KINDS}")
 
 
-def corruption_grid(images: Sequence[np.ndarray], seed: int):
-    """Yield ``(tag, corrupted stack)`` over all kinds and severities 1..5.
+def corruption_cell(
+    images: Sequence[np.ndarray], kind: str, severity: int, seed: int
+) -> np.ndarray:
+    """Stack of ``images`` under one corruption kind and severity.
 
-    Randomness is keyed by (seed, kind index, severity), so any single cell
-    can be regenerated without the others.
+    Randomness is keyed by (seed, kind index, severity), so any cell can be
+    regenerated without the others.
     """
-    from .streams import stream
+    if kind not in CORRUPTION_KINDS:
+        raise ValueError(f"unknown corruption kind {kind!r}; expected one of {CORRUPTION_KINDS}")
+    rng = stream(seed, CORRUPTION_KINDS.index(kind), severity)
+    return np.stack([corrupt(img, kind, severity, rng) for img in images])
 
-    for kind_idx, kind in enumerate(CORRUPTION_KINDS):
+
+def corruption_grid(images: Sequence[np.ndarray], seed: int):
+    """Yield ``(tag, corrupted stack)`` over all kinds and severities 1..5."""
+    for kind in CORRUPTION_KINDS:
         for severity in range(1, 6):
-            rng = stream(seed, kind_idx, severity)
-            batch = np.stack([corrupt(img, kind, severity, rng) for img in images])
-            yield f"{kind}-{severity}", batch
+            yield f"{kind}-{severity}", corruption_cell(images, kind, severity, seed)
 
 
 @dataclass(frozen=True)

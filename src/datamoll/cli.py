@@ -6,10 +6,10 @@ mollified copy of a dataset), ``train``, ``eval`` (clean and, optionally,
 the 4-corruption x 5-severity grid), ``infocurve`` (PNG compression ratios
 over blur temperatures), and ``spectra`` (per-corruption DCT change grids).
 
-Every command takes an explicit seed, echoes the effective configuration
-and its hash into the output directory (``run.json``), and writes outputs
-atomically.  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.
+Every command but ``ingest`` (which reads no setting) takes an explicit
+seed and echoes the effective configuration and its hash into the output
+directory (``run.json``); all commands write outputs atomically.  Exit
+codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import __version__
 from .analysis import (
     CORRUPTION_KINDS,
     annulus_means,
-    corrupt,
+    corruption_cell,
     corruption_grid,
     info_curve,
     spectral_delta,
@@ -49,7 +49,6 @@ from .schedules import (
     gamma_noise,
     snr,
 )
-from .streams import stream
 from .tensors import compute_channel_stats
 from .trainer import (
     TrainConfig,
@@ -140,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build a MOL1 container from images on disk")
     p.add_argument("src", help="directory of .csv/.raw images, or a MOL1 file to re-ingest")
-    p.add_argument("--config", metavar="PATH")
-    p.add_argument("--seed", type=int, metavar="U64")
     p.add_argument("--out", metavar="PATH", required=True, help="MOL1 output path")
 
     p = sub.add_parser("schedule-dump", help="write all schedule curves as CSV")
@@ -348,7 +345,6 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_ingest(ns: argparse.Namespace) -> int:
-    effective_config(ns)  # rejects a malformed --config; ingest reads no setting
     src = Path(ns.src)
     out = Path(ns.out)
     if src.is_file():
@@ -361,13 +357,11 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         num_classes = ds.num_classes
     elif src.is_dir():
         pixels, labels = _load_8bit_dir(src)
-        num_classes = int(labels.max()) + 1
-        if num_classes < 2:
-            num_classes = 2
+        num_classes = max(int(labels.max()) + 1, 2)
     else:
         raise DataError(f"{src} is neither a directory nor a MOL1 file")
     raw = pixels.astype(np.float64) / 255.0
-    stats = compute_channel_stats(list(raw))
+    stats = compute_channel_stats(raw)
     images = (raw - stats.mean) / stats.std
     dataset = Mol1Dataset(
         images=images,
@@ -428,10 +422,10 @@ def cmd_mollify(ns: argparse.Namespace) -> int:
     dataset = _require_dataset(cfg)
     schedule = _schedule_from(cfg, dataset.width)
     out_dir = Path(ns.out)
-    examples = mollify_batch(list(dataset.images), schedule, int(cfg["seed"]))
+    samples = mollify_batch(dataset.images, schedule, int(cfg["seed"]))
     digest = _write_run_metadata(out_dir, "mollify", cfg)
     mollified = Mol1Dataset(
-        images=np.stack([ex.image for ex in examples]),
+        images=samples.image,
         labels=dataset.labels,
         num_classes=dataset.num_classes,
         stats=dataset.stats,
@@ -439,8 +433,8 @@ def cmd_mollify(ns: argparse.Namespace) -> int:
     )
     save_mol1(mollified, out_dir / "mollified.mol1")
     rows = [
-        [str(i), ex.params.mode.value, _float_cell(ex.params.t), _float_cell(ex.gamma)]
-        for i, ex in enumerate(examples)
+        [str(i), mode, _float_cell(t), _float_cell(gamma)]
+        for i, (mode, t, gamma) in enumerate(zip(samples.mode, samples.t, samples.gamma))
     ]
     _write_csv(out_dir / "mollify.csv", ["index", "mode", "t", "gamma"], rows)
     return 0
@@ -478,7 +472,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     clean_report = evaluate(records[0], num_bins=bins)
     corrupted_report = None
     if cfg["corruptions"]:
-        for tag, batch in corruption_grid(list(dataset.images), cfg["seed"]):
+        for tag, batch in corruption_grid(dataset.images, cfg["seed"]):
             records.append(predict_records(params, batch, dataset.labels, tag=tag))
         corrupted_report = evaluate(np.concatenate(records[1:]), num_bins=bins)
     write_records_csv(np.concatenate(records), out_dir / "records.csv")
@@ -506,7 +500,7 @@ def cmd_infocurve(ns: argparse.Namespace) -> int:
         raise DataError(f"t_steps must be >= 2, got {t_steps}")
     out_dir = Path(ns.out)
     grid = [float(t) for t in np.linspace(0.0, 1.0, t_steps)]
-    points = info_curve(list(dataset.images), dataset.stats, schedule, grid)
+    points = info_curve(dataset.images, dataset.stats, schedule, grid)
     rows = [
         [_float_cell(p.t), _float_cell(p.sigma_b), _float_cell(p.mean_ratio)] for p in points
     ]
@@ -522,12 +516,10 @@ def cmd_spectra(ns: argparse.Namespace) -> int:
     cfg = effective_config(ns)
     dataset = _require_dataset(cfg)
     out_dir = Path(ns.out)
-    clean = list(dataset.images)
     annuli_rows = []
-    for kind_idx, kind in enumerate(CORRUPTION_KINDS):
-        rng = stream(int(cfg["seed"]), kind_idx, _SPECTRA_SEVERITY)
-        corrupted = [corrupt(img, kind, _SPECTRA_SEVERITY, rng) for img in clean]
-        delta = spectral_delta(clean, corrupted, tag=kind)
+    for kind in CORRUPTION_KINDS:
+        corrupted = corruption_cell(dataset.images, kind, _SPECTRA_SEVERITY, cfg["seed"])
+        delta = spectral_delta(dataset.images, corrupted, tag=kind)
         grid_rows = [[_float_cell(v) for v in row] for row in delta.grid]
         _write_csv(
             out_dir / f"spectral_{kind}.csv",

@@ -9,6 +9,7 @@ standardize the pixels and a free-form provenance string.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass
@@ -95,6 +96,17 @@ def save_mol1(dataset: Mol1Dataset, path: str | Path) -> None:
     write_text(manifest_path(path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _manifest_numbers(manifest, key: str, mpath: Path) -> np.ndarray:
+    """The manifest's ``key`` field, which must be a list of JSON numbers."""
+    if not isinstance(manifest, dict) or key not in manifest:
+        raise DataError(f"manifest {mpath} has no {key!r} field")
+    value = manifest[key]
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        with contextlib.suppress(OverflowError):  # an int beyond float64
+            return np.asarray(value, dtype=np.float64)
+    raise DataError(f"manifest {mpath} field {key!r} must be a list of float64 numbers")
+
+
 def load_mol1(path: str | Path) -> Mol1Dataset:
     """Read a container plus its manifest, validating sizes and ranges."""
     path = Path(path)
@@ -117,13 +129,13 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
-    manifest = json.loads(mpath.read_text())
-    for key in ("mean", "std"):
-        if not isinstance(manifest, dict) or key not in manifest:
-            raise DataError(f"manifest {mpath} has no {key!r} field")
+    try:
+        manifest = json.loads(mpath.read_text())
+    except ValueError:
+        raise DataError(f"manifest {mpath} is not valid JSON") from None
     stats = ChannelStats(
-        mean=np.asarray(manifest["mean"], dtype=np.float64),
-        std=np.asarray(manifest["std"], dtype=np.float64),
+        mean=_manifest_numbers(manifest, "mean", mpath),
+        std=_manifest_numbers(manifest, "std", mpath),
     )
     return Mol1Dataset(
         images=images,

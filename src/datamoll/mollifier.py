@@ -13,12 +13,11 @@ outcomes do not depend on processing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from .errors import DataError
 from .schedules import (
     ScheduleConfig,
     alpha_sigma,
@@ -30,34 +29,6 @@ from .schedules import (
 )
 from .streams import derive_seed, stream
 from .tensors import dct2d, ensure_image, idct2d
-
-
-class Mode(Enum):
-    NONE = "none"
-    NOISE = "noise"
-    BLUR = "blur"
-
-
-@dataclass(frozen=True)
-class MollificationParams:
-    """The per-image transformation draw: mode, temperature, noise seed."""
-
-    mode: Mode
-    t: float
-    noise_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"temperature must lie in [0, 1], got {self.t}")
-
-
-@dataclass(frozen=True)
-class MollifiedExample:
-    """A transformed image together with its label-decay weight."""
-
-    image: np.ndarray
-    gamma: float
-    params: MollificationParams
 
 
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
@@ -98,34 +69,48 @@ _TAG_NOISE = 1
 
 
 def mollify_batch(
-    imgs: Sequence[np.ndarray], cfg: ScheduleConfig, seed: int
-) -> list[MollifiedExample]:
-    """Independently mollify each image of a batch.
+    imgs: np.ndarray | Sequence[np.ndarray], cfg: ScheduleConfig, seed: int
+) -> np.recarray:
+    """Independently mollify each image of a ``(B, H, W, C)`` stack.
 
-    For image ``i`` the mode and temperature come from the stream keyed by
-    ``(seed, i)``; the Gaussian noise comes from a stream keyed by the
-    recorded ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
-    reproduces the stored output.  Identity-mode outputs alias the input
-    array (they are bit-identical, not copies).
+    Returns a record array with one row per image and the fields ``image``
+    (H, W, C), ``gamma``, ``mode`` (``"none"``, ``"noise"`` or ``"blur"``),
+    ``t`` and ``noise_seed`` (0 unless the mode is noise).  For image ``i``
+    the mode and temperature come from the stream keyed by ``(seed, i)``;
+    the Gaussian noise comes from a stream keyed by the recorded
+    ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
+    reproduces the stored image.
     """
-    out: list[MollifiedExample] = []
+    try:
+        stack = np.asarray(imgs, dtype=np.float64)
+    except ValueError:
+        raise DataError("images must share one (H, W, C) shape") from None
+    if stack.ndim != 4:
+        raise DataError(f"images must have shape (B, H, W, C), got {stack.shape}")
+    n = stack.shape[0]
+    images = np.empty_like(stack)
+    gammas = np.zeros(n)
+    temps = np.zeros(n)
+    noise_seeds = np.zeros(n, dtype=np.uint64)
+    modes = np.full(n, "none", dtype="U5")
     p_none, p_noise, _ = cfg.mode_probs
-    for idx, img in enumerate(imgs):
+    for idx, img in enumerate(stack):
         decision = stream(seed, idx, _TAG_DECISION)
         u = decision.random()
         if u < p_none:
-            params = MollificationParams(Mode.NONE, 0.0, 0)
-            out.append(MollifiedExample(np.asarray(img, dtype=np.float64), 0.0, params))
+            images[idx] = img
             continue
-        t = sample_temperature(decision, cfg)
+        t = temps[idx] = sample_temperature(decision, cfg)
         if u < p_none + p_noise:
             noise_seed = derive_seed(seed, idx, _TAG_NOISE)
-            image = noise_image(img, t, stream(noise_seed))
-            gamma = gamma_noise(t, cfg.k_noise)
-            params = MollificationParams(Mode.NOISE, t, noise_seed)
+            images[idx] = noise_image(img, t, stream(noise_seed))
+            gammas[idx] = gamma_noise(t, cfg.k_noise)
+            noise_seeds[idx] = noise_seed
+            modes[idx] = "noise"
         else:
-            image = blur_image(img, t, cfg)
-            gamma = gamma_blur(t, cfg.k_blur)
-            params = MollificationParams(Mode.BLUR, t, 0)
-        out.append(MollifiedExample(image, gamma, params))
-    return out
+            images[idx] = blur_image(img, t, cfg)
+            gammas[idx] = gamma_blur(t, cfg.k_blur)
+            modes[idx] = "blur"
+    fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),
+              ("mode", modes.dtype), ("t", np.float64), ("noise_seed", np.uint64)]
+    return np.rec.fromarrays([images, gammas, modes, temps, noise_seeds], dtype=fields)

@@ -49,10 +49,6 @@ class StudyResult:
     def relative_error_reduction(self) -> float:
         return 1.0 - self.mollified.corrupted_error / self.baseline.corrupted_error
 
-    @property
-    def clean_error_change(self) -> float:
-        return self.mollified.clean_error - self.baseline.clean_error
-
 
 def run_study(
     seed: int,
@@ -69,7 +65,7 @@ def run_study(
     raw_test, labels_test = grating_dataset(
         test_count, height, width, num_classes, seed=derive_seed(seed, _TAG_TEST_DATA)
     )
-    stats = compute_channel_stats(list(raw_train))
+    stats = compute_channel_stats(raw_train)
     ds_train = standardized_dataset(
         raw_train, labels_train, num_classes, provenance=f"study-train-{seed}", stats=stats
     )
@@ -86,7 +82,7 @@ def run_study(
         clean = evaluate(predict_batch(params, ds_test, tag="clean"))
         cells = [
             predict_records(params, batch, ds_test.labels, tag=tag)
-            for tag, batch in corruption_grid(list(ds_test.images), corruption_seed)
+            for tag, batch in corruption_grid(ds_test.images, corruption_seed)
         ]
         corrupted = evaluate(np.concatenate(cells))
         arms[name] = ArmResult(

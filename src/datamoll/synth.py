@@ -123,7 +123,7 @@ def standardized_dataset(
     """
     raw_images = np.asarray(raw_images, dtype=np.float64)
     if stats is None:
-        stats = compute_channel_stats(list(raw_images))
+        stats = compute_channel_stats(raw_images)
     images = (raw_images - stats.mean) / stats.std
     return Mol1Dataset(
         images=images,

@@ -230,15 +230,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             if cfg.mollify:
-                images = [dataset.images[i] for i in idx]
-                rows, gammas = [], []
-                for rep in range(cfg.samples_per_image):
-                    seed = derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
-                    for ex in mollify_batch(images, cfg.schedule, seed):
-                        rows.append(ex.image.reshape(-1))
-                        gammas.append(ex.gamma)
-                x = np.stack(rows)
-                gammas = np.asarray(gammas)
+                images = dataset.images[idx]
+                seeds = (
+                    derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
+                    for rep in range(cfg.samples_per_image)
+                )
+                samples = np.concatenate([mollify_batch(images, cfg.schedule, k) for k in seeds])
+                x = samples["image"].reshape(len(samples), input_dim)
+                gammas = samples["gamma"]
                 labels = np.tile(dataset.labels[idx], cfg.samples_per_image)
             else:
                 x = flat[idx]
@@ -312,18 +311,26 @@ def load_params(path: str | Path) -> tuple[MlpParams, dict]:
     if raw[:4] != _PARAMS_MAGIC:
         raise DataError(f"{path} is not a parameter file")
     head_len = int.from_bytes(raw[4:8], "little")
-    header = json.loads(raw[8 : 8 + head_len].decode("utf-8"))
     try:
-        shapes = {name: tuple(header["shapes"][name]) for name in ("w1", "b1", "w2", "b2")}
-    except (KeyError, TypeError):
-        raise DataError(f"{path} header has no valid 'shapes' field") from None
+        header = json.loads(raw[8 : 8 + head_len].decode("utf-8"))
+    except ValueError:
+        raise DataError(f"{path} header is not valid JSON") from None
+    if not isinstance(header, dict) or not isinstance(header.get("shapes"), dict):
+        raise DataError(f"{path} header has no valid 'shapes' field")
+    shapes = {name: header["shapes"].get(name) for name in ("w1", "b1", "w2", "b2")}
+    for name, shape in shapes.items():
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise DataError(
+                f"{path} header field 'shapes.{name}' must be a list of non-negative ints"
+            )
     offset = 8 + head_len
+    expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(raw) != expected:
+        raise DataError(f"{path} has {len(raw)} bytes, its header describes {expected}")
     arrays = {}
     for name, shape in shapes.items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         arrays[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
-    if offset != len(raw):
-        raise DataError(f"{path} has trailing bytes")
     return MlpParams(**arrays), header

@@ -103,6 +103,16 @@ class TestIngest:
         (src / "labels.csv").write_text("a.csv,0\nb.csv,1\n")
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
 
+    @pytest.mark.parametrize("flag", ["--seed", "--config"])
+    def test_settings_flags_are_usage_errors(self, dataset_path, tmp_path, flag):
+        # ingest reads no setting, so it takes neither flag
+        config = tmp_path / "c.json"
+        config.write_text("{}")
+        value = {"--seed": "5", "--config": str(config)}[flag]
+        out = tmp_path / "re.mol1"
+        assert main(["ingest", str(dataset_path), "--out", str(out), flag, value]) == 2
+        assert not out.exists()
+
 
 class TestScheduleDump:
     def test_rows_match_module(self, tmp_path):
@@ -424,17 +434,53 @@ class TestBadFileFields:
         err = capsys.readouterr().err
         assert str(manifest) in err and repr(field) in err
 
-    def test_params_header_without_shapes(self, files, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [{"a": 1}, [1, "2"], "12", [True]])
+    def test_manifest_field_not_a_list_of_numbers(self, files, tmp_path, capsys, value):
         data, params = files
+        manifest = Path(str(data) + ".json")
+        content = json.loads(manifest.read_text())
+        content["mean"] = value
+        manifest.write_text(json.dumps(content))
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "'mean'" in err
+
+    def test_manifest_not_json(self, files, tmp_path, capsys):
+        data, params = files
+        manifest = Path(str(data) + ".json")
+        manifest.write_text("{mean")
+        assert self._eval(data, params, tmp_path) == 3
+        assert str(manifest) in capsys.readouterr().err
+
+    @staticmethod
+    def _edit_header(params, edit):
         raw = params.read_bytes()
         head_len = int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8 : 8 + head_len])
-        del header["shapes"]
+        edit(header)
         head = json.dumps(header).encode()
         params.write_bytes(raw[:4] + len(head).to_bytes(4, "little") + head + raw[8 + head_len :])
+
+    def test_params_header_without_shapes(self, files, tmp_path, capsys):
+        data, params = files
+        self._edit_header(params, lambda header: header.pop("shapes"))
         assert self._eval(data, params, tmp_path) == 3
         err = capsys.readouterr().err
         assert str(params) in err and "'shapes'" in err
+
+    @pytest.mark.parametrize("shape", [[1.5], "ab", [[1]], [-1], [True], None])
+    def test_params_header_with_bad_shape(self, files, tmp_path, capsys, shape):
+        data, params = files
+        self._edit_header(params, lambda header: header["shapes"].update(b2=shape))
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(params) in err and "'shapes.b2'" in err
+
+    def test_params_blob_size_must_match_header(self, files, tmp_path, capsys):
+        data, params = files
+        self._edit_header(params, lambda header: header["shapes"].update(b2=[5]))
+        assert self._eval(data, params, tmp_path) == 3
+        assert str(params) in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

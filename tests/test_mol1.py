@@ -1,11 +1,17 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datamoll.errors import DataError
 from datamoll.mol1 import MAGIC, Mol1Dataset, load_mol1, manifest_path, save_mol1
 from datamoll.tensors import ChannelStats
+from tests.strategies import JSON_VALUES
 
 
 def make_dataset(rng, n=6, h=4, w=5, c=2, classes=3):
@@ -102,3 +108,50 @@ class TestValidation:
         manifest = json.loads(manifest_path(path).read_text())
         assert set(manifest) == {"mean", "std", "provenance"}
         assert len(manifest["mean"]) == ds.channels
+
+
+
+def _loads_or_data_error(path):
+    try:
+        return load_mol1(path)
+    except DataError:
+        return None
+
+
+class TestFuzzedFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        manifest=st.fixed_dictionaries(
+            {},
+            optional={
+                "mean": JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=3),
+                "std": JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=3),
+                "provenance": JSON_VALUES,
+            },
+        )
+        | JSON_VALUES
+    )
+    def test_fuzzed_manifest_loads_or_raises_data_error(self, manifest):
+        ds = make_dataset(np.random.default_rng(5), c=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.mol1"
+            save_mol1(ds, path)
+            manifest_path(path).write_text(json.dumps(manifest))
+            loaded = _loads_or_data_error(path)
+        if loaded is not None:
+            assert loaded.stats.channels == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.tuples(*[st.integers(0, 3)] * 5) | st.tuples(*[st.integers(0, 2**32 - 1)] * 5),
+        body=st.binary(max_size=96),
+    )
+    def test_fuzzed_container_loads_or_raises_data_error(self, header, body):
+        ds = make_dataset(np.random.default_rng(6), c=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.mol1"
+            save_mol1(ds, path)
+            path.write_bytes(MAGIC + struct.pack("<5I", *header) + body)
+            loaded = _loads_or_data_error(path)
+        if loaded is not None:
+            assert loaded.images.shape == tuple(header[:4])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from datamoll.errors import DataError
 from datamoll.mollifier import (
-    Mode,
-    MollificationParams,
     blur_image,
     heat_blur,
     heat_multipliers,
@@ -114,65 +113,80 @@ class TestMollifyBatch:
     def test_forced_none_is_identity(self):
         cfg = ScheduleConfig(sigma_max=16.0, mode_probs=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(11)
-        imgs = [rng.standard_normal((4, 4, 1)) for _ in range(8)]
+        imgs = rng.standard_normal((8, 4, 4, 1))
         out = mollify_batch(imgs, cfg, seed=5)
-        for img, ex in zip(imgs, out):
-            assert np.array_equal(ex.image, img)
-            assert ex.gamma == 0.0
-            assert ex.params.mode is Mode.NONE
+        assert np.array_equal(out.image, imgs)
+        assert np.all(out.gamma == 0.0)
+        assert np.all(out.mode == "none")
 
     def test_mode_frequencies(self, cfg):
-        imgs = [np.zeros((1, 1, 1))] * 30_000
-        out = mollify_batch(imgs, cfg, seed=99)
-        counts = {mode: 0 for mode in Mode}
-        for ex in out:
-            counts[ex.params.mode] += 1
-        for mode in Mode:
-            assert counts[mode] / 30_000 == approx(1.0 / 3.0, abs=0.01)
+        out = mollify_batch(np.zeros((30_000, 1, 1, 1)), cfg, seed=99)
+        modes, counts = np.unique(out.mode, return_counts=True)
+        assert modes.tolist() == ["blur", "noise", "none"]
+        for count in counts:
+            assert count / 30_000 == approx(1.0 / 3.0, abs=0.01)
 
     def test_fixed_seed_replay(self, cfg):
         rng = np.random.default_rng(12)
-        imgs = [rng.standard_normal((6, 6, 1)) for _ in range(32)]
+        imgs = rng.standard_normal((32, 6, 6, 1))
         first = mollify_batch(imgs, cfg, seed=7)
         second = mollify_batch(imgs, cfg, seed=7)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.image, b.image)
-            assert a.gamma == b.gamma and a.params == b.params
+        assert first.tobytes() == second.tobytes()
 
     def test_gammas_match_schedule_exactly(self, cfg):
         rng = np.random.default_rng(13)
-        imgs = [rng.standard_normal((6, 6, 1)) for _ in range(64)]
+        imgs = rng.standard_normal((64, 6, 6, 1))
         for ex in mollify_batch(imgs, cfg, seed=21):
-            if ex.params.mode is Mode.NONE:
+            if ex.mode == "none":
                 assert ex.gamma == 0.0
-            elif ex.params.mode is Mode.NOISE:
-                assert ex.gamma == gamma_noise(ex.params.t, cfg.k_noise)
+            elif ex.mode == "noise":
+                assert ex.gamma == gamma_noise(ex.t, cfg.k_noise)
             else:
-                assert ex.gamma == gamma_blur(ex.params.t, cfg.k_blur)
+                assert ex.mode == "blur"
+                assert ex.gamma == gamma_blur(ex.t, cfg.k_blur)
 
     def test_noise_seed_reproduces_image(self, cfg):
         rng = np.random.default_rng(14)
-        imgs = [rng.standard_normal((6, 6, 1)) for _ in range(64)]
+        imgs = rng.standard_normal((64, 6, 6, 1))
         out = mollify_batch(imgs, cfg, seed=33)
-        noisy = [(i, ex) for i, ex in enumerate(out) if ex.params.mode is Mode.NOISE]
-        assert noisy
-        idx, ex = noisy[0]
-        redo = noise_image(imgs[idx], ex.params.t, stream(ex.params.noise_seed))
-        assert np.array_equal(redo, ex.image)
+        noisy = np.flatnonzero(out.mode == "noise")
+        assert noisy.size
+        assert np.all(out.noise_seed[out.mode != "noise"] == 0)
+        for idx in noisy:
+            ex = out[idx]
+            redo = noise_image(imgs[idx], ex.t, stream(ex.noise_seed))
+            assert np.array_equal(redo, ex.image)
 
     def test_order_independence_of_per_image_draws(self, cfg):
         # the i-th example's parameters depend only on (seed, i), never on
         # what happened to other images
         rng = np.random.default_rng(15)
-        imgs = [rng.standard_normal((4, 4, 1)) for _ in range(10)]
+        imgs = rng.standard_normal((10, 4, 4, 1))
         full = mollify_batch(imgs, cfg, seed=3)
         prefix = mollify_batch(imgs[:4], cfg, seed=3)
-        for a, b in zip(prefix, full[:4]):
-            assert np.array_equal(a.image, b.image) and a.params == b.params
+        assert prefix.tobytes() == full[:4].tobytes()
 
     def test_empty_batch(self, cfg):
-        assert mollify_batch([], cfg, seed=0) == []
+        out = mollify_batch(np.zeros((0, 4, 4, 1)), cfg, seed=0)
+        assert len(out) == 0
+        assert out.image.shape == (0, 4, 4, 1)
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            MollificationParams(Mode.NOISE, 1.5, 0)
+    def test_stack_and_list_give_equal_outputs(self, cfg):
+        rng = np.random.default_rng(16)
+        imgs = rng.standard_normal((12, 5, 5, 2))
+        from_stack = mollify_batch(imgs, cfg, seed=8)
+        from_list = mollify_batch(list(imgs), cfg, seed=8)
+        assert from_stack.dtype == from_list.dtype
+        assert from_stack.tobytes() == from_list.tobytes()
+
+    @pytest.mark.parametrize(
+        "imgs",
+        [
+            np.zeros((4, 4, 1)),
+            [np.zeros((4, 4, 1)), np.zeros((4, 5, 1))],
+        ],
+        ids=["3-D", "ragged"],
+    )
+    def test_rejects_input_that_is_not_a_stack(self, cfg, imgs):
+        with pytest.raises(DataError):
+            mollify_batch(imgs, cfg, seed=0)

@@ -1,7 +1,12 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 from scipy.special import logsumexp
 
@@ -25,6 +30,7 @@ from datamoll.trainer import (
     train,
 )
 from tests.oracles import finite_difference_grads, max_rel_gradient_error
+from tests.strategies import JSON_VALUES
 
 
 def blob_dataset(n=256, h=4, w=4, seed=0, spread=0.1):
@@ -193,12 +199,12 @@ class TestTrain:
         ds = blob_dataset(n=32)
         sched = ScheduleConfig.for_width(4)
         params = init_params(16, 8, 2, seed=0)
-        examples = mollify_batch(list(ds.images), sched, seed=4)
-        for img_idx, ex in enumerate(examples[:16]):
-            y = smooth_label(one_hot(int(ds.labels[img_idx]), 2), ex.gamma)
+        samples = mollify_batch(ds.images, sched, seed=4)
+        for img_idx in range(16):
+            y = smooth_label(one_hot(int(ds.labels[img_idx]), 2), samples.gamma[img_idx])
             probs = y.probs[y.probs > 0]
             entropy = float(-(probs * np.log(probs)).sum())
-            assert loss_value(params, ex.image, y) >= entropy - 1e-12
+            assert loss_value(params, samples.image[img_idx], y) >= entropy - 1e-12
 
 
 class TestPredict:
@@ -239,3 +245,32 @@ class TestParamsIo:
         path.write_bytes(b"not params")
         with pytest.raises(DataError):
             load_params(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.fixed_dictionaries(
+            {},
+            optional={
+                "shapes": st.dictionaries(
+                    st.sampled_from(["w1", "b1", "w2", "b2"]),
+                    st.lists(st.integers(-2, 3), max_size=3) | JSON_VALUES,
+                )
+                | JSON_VALUES
+            },
+        )
+        | JSON_VALUES,
+        head_len_delta=st.integers(-2, 2),
+        blob=st.binary(max_size=64),
+    )
+    def test_fuzzed_file_loads_or_raises_data_error(self, header, head_len_delta, blob):
+        head = json.dumps(header).encode()
+        head_len = max(len(head) + head_len_delta, 0)
+        raw = b"MLP1" + head_len.to_bytes(4, "little") + head + blob
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.bin"
+            path.write_bytes(raw)
+            try:
+                params, _ = load_params(path)
+            except DataError:
+                return
+        assert 8 + head_len + 4 * sum(arr.size for _, arr in params.blocks()) == len(raw)
