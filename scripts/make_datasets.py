@@ -16,8 +16,8 @@ import numpy as np
 
 from datamoll.mol1 import save_mol1
 from datamoll.streams import derive_seed
-from datamoll.synth import fractal_textures, grating_dataset, standardized_dataset
-from datamoll.tensors import compute_channel_stats
+from datamoll.study import texture_splits
+from datamoll.synth import fractal_textures, standardized_dataset
 
 
 def main() -> None:
@@ -34,17 +34,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    raw_train, labels_train = grating_dataset(
-        args.train_count, seed=derive_seed(args.seed, 101)
-    )
-    raw_test, labels_test = grating_dataset(args.test_count, seed=derive_seed(args.seed, 102))
-    stats = compute_channel_stats(list(raw_train))
-    train = standardized_dataset(
-        raw_train, labels_train, 4, provenance=f"textures-train seed={args.seed}", stats=stats
-    )
-    test = standardized_dataset(
-        raw_test, labels_test, 4, provenance=f"textures-test seed={args.seed}", stats=stats
-    )
+    train, test = texture_splits(args.seed, args.train_count, args.test_count)
     save_mol1(train, out / "textures_train.mol1")
     save_mol1(test, out / "textures_test.mol1")
 

@@ -49,7 +49,7 @@ from .schedules import (
     gamma_noise,
     snr,
 )
-from .tensors import compute_channel_stats
+from .synth import standardized_dataset
 from .trainer import (
     TrainConfig,
     load_params,
@@ -269,6 +269,14 @@ def _require_dataset(cfg: dict) -> Mol1Dataset:
     return load_mol1(cfg["dataset"])
 
 
+def _t_grid(cfg: dict) -> list[float]:
+    """``t_steps`` evenly spaced temperatures from 0 to 1."""
+    t_steps = int(cfg["t_steps"])
+    if t_steps < 2:
+        raise DataError(f"t_steps must be >= 2, got {t_steps}")
+    return [float(t) for t in np.linspace(0.0, 1.0, t_steps)]
+
+
 def _float_cell(value: float) -> str:
     return repr(float(value))
 
@@ -360,15 +368,8 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         num_classes = max(int(labels.max()) + 1, 2)
     else:
         raise DataError(f"{src} is neither a directory nor a MOL1 file")
-    raw = pixels.astype(np.float64) / 255.0
-    stats = compute_channel_stats(raw)
-    images = (raw - stats.mean) / stats.std
-    dataset = Mol1Dataset(
-        images=images,
-        labels=labels,
-        num_classes=num_classes,
-        stats=stats,
-        provenance=f"ingest:{src.name}",
+    dataset = standardized_dataset(
+        pixels.astype(np.float64) / 255.0, labels, num_classes, provenance=f"ingest:{src.name}"
     )
     save_mol1(dataset, out)
     print(
@@ -383,14 +384,11 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 
 def cmd_schedule_dump(ns: argparse.Namespace) -> int:
     cfg = effective_config(ns)
-    t_steps = int(cfg["t_steps"])
-    if t_steps < 2:
-        raise DataError(f"t_steps must be >= 2, got {t_steps}")
+    grid = _t_grid(cfg)
     schedule = _schedule_from(cfg, width=None)
     out_dir = Path(ns.out)
     rows = []
-    for t in np.linspace(0.0, 1.0, t_steps):
-        t = float(t)
+    for t in grid:
         alpha, sigma = alpha_sigma(t)
         sig_b = blur_sigma(t, schedule)
         rows.append(
@@ -495,12 +493,8 @@ def cmd_infocurve(ns: argparse.Namespace) -> int:
     cfg = effective_config(ns)
     dataset = _require_dataset(cfg)
     schedule = _schedule_from(cfg, dataset.width)
-    t_steps = int(cfg["t_steps"])
-    if t_steps < 2:
-        raise DataError(f"t_steps must be >= 2, got {t_steps}")
     out_dir = Path(ns.out)
-    grid = [float(t) for t in np.linspace(0.0, 1.0, t_steps)]
-    points = info_curve(dataset.images, dataset.stats, schedule, grid)
+    points = info_curve(dataset.images, dataset.stats, schedule, _t_grid(cfg))
     rows = [
         [_float_cell(p.t), _float_cell(p.sigma_b), _float_cell(p.mean_ratio)] for p in points
     ]

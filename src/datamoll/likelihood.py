@@ -38,13 +38,13 @@ def _as_logp(logp: np.ndarray) -> np.ndarray:
     return lp
 
 
-def soft_cross_entropy(logp: np.ndarray, y) -> float:
-    """Return -sum_c y_c * logp_c for a soft label (or raw weight vector)."""
+def soft_cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
+    """Return -sum_c y_c * logp_c for a soft label vector ``y``."""
     lp = _as_logp(logp)
-    weights = np.asarray(getattr(y, "probs", y), dtype=np.float64)
-    if weights.shape != lp.shape:
-        raise ValueError(f"label shape {weights.shape} does not match {lp.shape}")
-    return float(-np.dot(weights, lp))
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != lp.shape:
+        raise ValueError(f"label shape {y.shape} does not match {lp.shape}")
+    return float(-np.dot(y, lp))
 
 
 def tempered_log_likelihood(logp: np.ndarray, class_index: int, gamma: float) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import corruption_grid
 from .metrics import evaluate
+from .mol1 import Mol1Dataset
 from .schedules import ScheduleConfig
 from .streams import derive_seed
 from .synth import grating_dataset, standardized_dataset
@@ -50,6 +51,31 @@ class StudyResult:
         return 1.0 - self.mollified.corrupted_error / self.baseline.corrupted_error
 
 
+def texture_splits(
+    seed: int,
+    train_count: int = 4096,
+    test_count: int = 1024,
+    height: int = 16,
+    width: int = 16,
+    num_classes: int = 4,
+) -> tuple[Mol1Dataset, Mol1Dataset]:
+    """The study's train and test texture splits, both standardized with the train statistics."""
+    raw_train, labels_train = grating_dataset(
+        train_count, height, width, num_classes, seed=derive_seed(seed, _TAG_TRAIN_DATA)
+    )
+    raw_test, labels_test = grating_dataset(
+        test_count, height, width, num_classes, seed=derive_seed(seed, _TAG_TEST_DATA)
+    )
+    stats = compute_channel_stats(raw_train)
+    ds_train = standardized_dataset(
+        raw_train, labels_train, num_classes, provenance=f"textures-train seed={seed}", stats=stats
+    )
+    ds_test = standardized_dataset(
+        raw_test, labels_test, num_classes, provenance=f"textures-test seed={seed}", stats=stats
+    )
+    return ds_train, ds_test
+
+
 def run_study(
     seed: int,
     train_count: int = 4096,
@@ -59,19 +85,7 @@ def run_study(
     width: int = 16,
     num_classes: int = 4,
 ) -> StudyResult:
-    raw_train, labels_train = grating_dataset(
-        train_count, height, width, num_classes, seed=derive_seed(seed, _TAG_TRAIN_DATA)
-    )
-    raw_test, labels_test = grating_dataset(
-        test_count, height, width, num_classes, seed=derive_seed(seed, _TAG_TEST_DATA)
-    )
-    stats = compute_channel_stats(raw_train)
-    ds_train = standardized_dataset(
-        raw_train, labels_train, num_classes, provenance=f"study-train-{seed}", stats=stats
-    )
-    ds_test = standardized_dataset(
-        raw_test, labels_test, num_classes, provenance=f"study-test-{seed}", stats=stats
-    )
+    ds_train, ds_test = texture_splits(seed, train_count, test_count, height, width, num_classes)
     schedule = ScheduleConfig.for_width(width)
     corruption_seed = derive_seed(seed, _TAG_CORRUPTIONS)
 

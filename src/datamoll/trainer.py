@@ -20,14 +20,13 @@ import numpy as np
 
 from .errors import DataError, TrainingDivergedError
 from .ioutil import write_bytes
-from .labels import LabelKind, soft_labels
+from .labels import soft_labels
 from .likelihood import log_normalizer_Z, log_normalizer_grad
 from .metrics import predictions
 from .mol1 import Mol1Dataset
 from .mollifier import mollify_batch
 from .schedules import ScheduleConfig
 from .streams import derive_seed, stream
-from .tensors import ensure_image
 
 LOSS_KINDS = ("smoothed", "tempered", "normalized")
 
@@ -110,15 +109,6 @@ def init_params(input_dim: int, hidden: int, classes: int, seed: int) -> MlpPara
     )
 
 
-def _flatten(img: np.ndarray) -> np.ndarray:
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = ensure_image(arr).reshape(-1)
-    if arr.ndim != 1:
-        raise DataError(f"expected an image or flat vector, got shape {arr.shape}")
-    return arr
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -131,24 +121,13 @@ def _batch_forward(params: MlpParams, x: np.ndarray):
     return _log_softmax(logits), hidden, pre
 
 
-def forward(params: MlpParams, img: np.ndarray) -> np.ndarray:
-    """Log-probability vector for a single image (or flat input)."""
-    x = _flatten(img)
-    if x.shape[0] != params.w1.shape[1]:
-        raise DataError(
-            f"input dimension {x.shape[0]} does not match weights ({params.w1.shape[1]})"
-        )
-    logp, _, _ = _batch_forward(params, x[None, :])
-    return logp[0]
-
-
-def _batch_loss_grad(
+def loss_and_grad(
     params: MlpParams,
     x: np.ndarray,
     y: np.ndarray,
-    include_normalizer: bool,
-):
-    """Mean loss over the batch and its exact gradient.
+    include_normalizer: bool = False,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean loss of a batch, x (N, D) with labels y (N, C), and its exact gradient.
 
     The loss per row is -sum_c y_c logp_c, plus log Z when the normalized
     likelihood is requested.  d(loss)/d(logits) is softmax * sum(y) - y,
@@ -174,36 +153,6 @@ def _batch_loss_grad(
     return loss, grads
 
 
-def grad(
-    params: MlpParams,
-    img: np.ndarray,
-    y,
-    include_normalizer: bool = False,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of the soft-label loss for one example."""
-    x = _flatten(img)
-    weights = np.asarray(getattr(y, "probs", y), dtype=np.float64)
-    if weights.shape[0] != params.w2.shape[0]:
-        raise DataError(
-            f"label has {weights.shape[0]} classes, model has {params.w2.shape[0]}"
-        )
-    _, grads = _batch_loss_grad(params, x[None, :], weights[None, :], include_normalizer)
-    return grads
-
-
-def loss_value(
-    params: MlpParams,
-    img: np.ndarray,
-    y,
-    include_normalizer: bool = False,
-) -> float:
-    """Loss for one example; the quantity :func:`grad` differentiates."""
-    x = _flatten(img)
-    weights = np.asarray(getattr(y, "probs", y), dtype=np.float64)
-    loss, _ = _batch_loss_grad(params, x[None, :], weights[None, :], include_normalizer)
-    return loss
-
-
 def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
     """lr0 * (1 + cos(pi * epoch / epochs)) / 2."""
     if not 0 <= epoch < cfg.epochs:
@@ -220,7 +169,7 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
     report = TrainReport()
     include_normalizer = cfg.loss == "normalized"
     # The normalized likelihood scores smoothed targets.
-    label_kind = LabelKind.TEMPERED if cfg.loss == "tempered" else LabelKind.SMOOTHED
+    smoothed = cfg.loss != "tempered"
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -243,8 +192,8 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
                 x = flat[idx]
                 gammas = np.zeros(idx.shape[0])
                 labels = dataset.labels[idx]
-            y = soft_labels(labels, gammas, dataset.num_classes, label_kind)
-            loss, grads = _batch_loss_grad(params, x, y, include_normalizer)
+            y = soft_labels(labels, gammas, dataset.num_classes, smoothed)
+            loss, grads = loss_and_grad(params, x, y, include_normalizer)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -327,6 +276,17 @@ def load_params(path: str | Path) -> tuple[MlpParams, dict]:
     expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) != expected:
         raise DataError(f"{path} has {len(raw)} bytes, its header describes {expected}")
+    # The layers must chain: w1 (H, D), b1 (H,), w2 (C, H), b2 (C,).
+    for name in ("w1", "w2"):
+        if len(shapes[name]) != 2:
+            raise DataError(f"{path} header field 'shapes.{name}' must have 2 dimensions")
+    (hidden, _), (classes, _) = shapes["w1"], shapes["w2"]
+    for name, agreed in (("b1", [hidden]), ("w2", [classes, hidden]), ("b2", [classes])):
+        if shapes[name] != agreed:
+            raise DataError(
+                f"{path} header field 'shapes.{name}' is {shapes[name]}, "
+                f"the other layers need {agreed}"
+            )
     arrays = {}
     for name, shape in shapes.items():
         count = math.prod(shape)

@@ -20,7 +20,7 @@ from datamoll.analysis import (
     pearson,
     spectral_delta,
 )
-from datamoll.labels import dirichlet_log_density, one_hot, smooth_label, temper_label
+from datamoll.labels import dirichlet_log_density, soft_labels
 from datamoll.likelihood import log_normalizer_Z, mc_log_marginal
 from datamoll.metrics import ece, predictions
 from datamoll.mol1 import save_mol1
@@ -30,7 +30,7 @@ from datamoll.streams import stream
 from datamoll.study import aggregate, run_study
 from datamoll.synth import fractal_textures, grating_dataset, standardized_dataset
 from datamoll.tensors import compute_channel_stats, dct2d, idct2d, standardize
-from datamoll.trainer import MlpParams, grad, loss_value
+from datamoll.trainer import MlpParams, loss_and_grad
 from tests.oracles import (
     brute_force_ece,
     finite_difference_grads,
@@ -44,6 +44,11 @@ from tests.oracles import (
 
 def _report(name: str, detail: str) -> None:
     print(f"[PASS] {name}: {detail}")
+
+
+def _label(cls: int, num_classes: int, gamma: float = 0.0, smoothed: bool = True) -> np.ndarray:
+    """One soft label row; gamma 0 gives the one-hot label."""
+    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
 
 
 def test_criterion_01_schedule_exactness():
@@ -174,17 +179,18 @@ def test_criterion_06_gradient_oracle():
         w2=rng.standard_normal((2, 2)) * 0.7,
         b2=rng.standard_normal(2) * 0.3,
     )
-    x = rng.standard_normal(2) + 0.5
+    x = rng.standard_normal((1, 2)) + 0.5
     cases = {
-        "smoothed": (smooth_label(one_hot(0, 2), 0.3), False),
-        "tempered": (temper_label(one_hot(0, 2), 0.3), False),
-        "normalized": (smooth_label(one_hot(1, 2), 0.2), True),
+        "smoothed": (_label(0, 2, 0.3), False),
+        "tempered": (_label(0, 2, 0.3, smoothed=False), False),
+        "normalized": (_label(1, 2, 0.2), True),
     }
     worst = {}
     for name, (label, norm) in cases.items():
-        analytic = grad(params, x, label, include_normalizer=norm)
+        y = label[None]
+        _, analytic = loss_and_grad(params, x, y, include_normalizer=norm)
         numeric = finite_difference_grads(
-            lambda: loss_value(params, x, label, include_normalizer=norm), params
+            lambda: loss_and_grad(params, x, y, include_normalizer=norm)[0], params
         )
         worst[name] = max_rel_gradient_error(analytic, numeric)
         assert worst[name] <= 1e-5
@@ -200,12 +206,12 @@ def test_criterion_06_gradient_oracle():
 def test_criterion_07_dirichlet_normalization_and_modes():
     started = time.perf_counter()
     gaps = []
-    for label in (one_hot(0, 2), smooth_label(one_hot(0, 2), 0.5)):
+    for label in (_label(0, 2), _label(0, 2, 0.5)):
         total = integrate_unit_interval(
             lambda p: math.exp(dirichlet_log_density(np.array([p, 1.0 - p]), label))
         )
         gaps.append(abs(total - 1.0))
-    for label in (one_hot(1, 3), smooth_label(one_hot(1, 3), 0.3)):
+    for label in (_label(1, 3), _label(1, 3, 0.3)):
         total = integrate_simplex_2d(
             lambda f1, f2, f3: math.exp(
                 dirichlet_log_density(np.array([f1, f2, f3]), label)
@@ -215,7 +221,7 @@ def test_criterion_07_dirichlet_normalization_and_modes():
     assert max(gaps) <= 1e-4
     # grid argmax sits at the smoothed label itself
     gamma = 0.4
-    label = smooth_label(one_hot(0, 3), gamma)
+    label = _label(0, 3, gamma)
     n = 80
     best, best_f = -np.inf, None
     for i in range(1, n):
@@ -224,7 +230,7 @@ def test_criterion_07_dirichlet_normalization_and_modes():
             val = dirichlet_log_density(f, label)
             if val > best:
                 best, best_f = val, f
-    assert np.abs(best_f - label.probs).max() <= 1.0 / n + 1e-12
+    assert np.abs(best_f - label).max() <= 1.0 / n + 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(

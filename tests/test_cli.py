@@ -482,6 +482,17 @@ class TestBadFileFields:
         assert self._eval(data, params, tmp_path) == 3
         assert str(params) in capsys.readouterr().err
 
+    # Each edit keeps the blob size of the 8-unit, 4-class net.
+    @pytest.mark.parametrize(
+        "shapes,field", [({"b1": [4], "b2": [8]}, "b1"), ({"w2": [32]}, "w2")]
+    )
+    def test_params_layer_shapes_must_agree(self, files, tmp_path, capsys, shapes, field):
+        data, params = files
+        self._edit_header(params, lambda header: header["shapes"].update(shapes))
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(params) in err and f"'shapes.{field}'" in err
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(datamoll.__file__).resolve().parent.parent)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from datamoll.labels import one_hot, smooth_label, temper_label
+from datamoll.labels import soft_labels
 from datamoll.likelihood import (
     log_normalizer_Z,
     log_normalizer_grad,
@@ -21,16 +21,21 @@ def logp_of(probs) -> np.ndarray:
     return np.log(np.asarray(probs, dtype=np.float64))
 
 
+def label(cls, num_classes, gamma=0.0, smoothed=True):
+    """One soft label row; gamma 0 gives the one-hot label."""
+    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
+
+
 class TestSoftCrossEntropy:
     def test_uniform_prediction(self):
         lp = logp_of(np.full(10, 0.1))
-        y = smooth_label(one_hot(4, 10), 0.37)
+        y = label(4, 10, 0.37)
         assert soft_cross_entropy(lp, y) == approx(math.log(10.0))
 
     def test_perfect_one_hot(self):
         lp = np.array([0.0, -50.0, -50.0])
         lp = lp - math.log(np.exp(lp).sum())  # renormalize
-        assert soft_cross_entropy(lp, one_hot(0, 3)) == approx(0.0, abs=1e-12)
+        assert soft_cross_entropy(lp, label(0, 3)) == approx(0.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         lp = logp_of([0.7, 0.2, 0.1])
@@ -41,7 +46,7 @@ class TestSoftCrossEntropy:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            soft_cross_entropy(logp_of([0.5, 0.5]), one_hot(0, 3))
+            soft_cross_entropy(logp_of([0.5, 0.5]), label(0, 3))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -55,8 +60,8 @@ class TestSoftCrossEntropy:
         p = rng.dirichlet(np.ones(5))
         p = np.maximum(p, 1e-9)
         lp = np.log(p / p.sum())
-        y1 = smooth_label(one_hot(1, 5), gamma1).probs
-        y2 = smooth_label(one_hot(3, 5), gamma2).probs
+        y1 = label(1, 5, gamma1)
+        y2 = label(3, 5, gamma2)
         mixed = a * y1 + (1.0 - a) * y2
         lhs = soft_cross_entropy(lp, mixed)
         rhs = a * soft_cross_entropy(lp, y1) + (1.0 - a) * soft_cross_entropy(lp, y2)
@@ -81,7 +86,7 @@ class TestTemperedLogLikelihood:
         lp = logp_of([0.2, 0.3, 0.5])
         for gamma in (0.0, 0.25, 0.8, 1.0):
             direct = tempered_log_likelihood(lp, 2, gamma)
-            via_ce = -soft_cross_entropy(lp, temper_label(one_hot(2, 3), gamma))
+            via_ce = -soft_cross_entropy(lp, label(2, 3, gamma, smoothed=False))
             assert direct == approx(via_ce, abs=1e-15)
 
     def test_bad_index(self):

@@ -11,7 +11,7 @@ from pytest import approx
 from scipy.special import logsumexp
 
 from datamoll.errors import DataError, TrainingDivergedError
-from datamoll.labels import one_hot, smooth_label, temper_label
+from datamoll.labels import soft_labels
 from datamoll.mol1 import Mol1Dataset
 from datamoll.mollifier import mollify_batch
 from datamoll.schedules import ScheduleConfig
@@ -20,12 +20,11 @@ from datamoll.trainer import (
     MlpParams,
     TrainConfig,
     cosine_lr,
-    forward,
-    grad,
     init_params,
     load_params,
-    loss_value,
+    loss_and_grad,
     predict_batch,
+    predict_records,
     save_params,
     train,
 )
@@ -58,15 +57,25 @@ def tiny_params(seed=7, scale=0.7):
     )
 
 
+def label(cls, num_classes, gamma=0.0, smoothed=True):
+    """One soft label row; gamma 0 gives the one-hot label."""
+    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
+
+
+def log_probs(params, x):
+    """Log-probabilities of one flat input or image, through the batch prediction path."""
+    return np.log(predict_records(params, x[None], np.array([0])).probs[0])
+
+
 class TestForward:
     def test_zero_weights_uniform(self):
         params = MlpParams(np.zeros((3, 4)), np.zeros(3), np.zeros((5, 3)), np.zeros(5))
-        logp = forward(params, np.zeros(4))
+        logp = log_probs(params, np.zeros(4))
         assert logp == approx(np.full(5, -math.log(5.0)))
 
     def test_normalized(self):
         params = init_params(6, 4, 3, seed=0)
-        logp = forward(params, np.random.default_rng(1).standard_normal(6))
+        logp = log_probs(params, np.random.default_rng(1).standard_normal(6))
         assert logsumexp(logp) == approx(0.0, abs=1e-9)
 
     def test_hand_computed_2_2_2(self):
@@ -82,17 +91,17 @@ class TestForward:
             [1.0 * hidden[0] + 2.0 * hidden[1], -1.0 * hidden[0] + 0.5 * hidden[1] + 0.3]
         )  # [1.6, 0.7]
         expected = logits - math.log(math.exp(1.6) + math.exp(0.7))
-        assert forward(params, x) == approx(expected, abs=1e-12)
+        assert log_probs(params, x) == approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         params = init_params(4, 3, 2, seed=0)
         with pytest.raises(DataError):
-            forward(params, np.zeros(5))
+            predict_batch(params, blob_dataset(n=4, h=5, w=1))
 
     def test_accepts_image_shape(self):
         params = init_params(8, 3, 2, seed=0)
         img = np.random.default_rng(0).standard_normal((2, 2, 2))
-        assert forward(params, img) == approx(forward(params, img.reshape(-1)))
+        assert log_probs(params, img) == approx(log_probs(params, img.reshape(-1)))
 
 
 class TestGrad:
@@ -100,37 +109,50 @@ class TestGrad:
         # symmetric zero network predicts uniform; uniform label kills the
         # output-layer gradient
         params = MlpParams(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-        y = smooth_label(one_hot(0, 2), 1.0)  # uniform
-        g = grad(params, np.ones(2), y)
+        y = label(0, 2, 1.0)  # uniform
+        _, g = loss_and_grad(params, np.ones((1, 2)), y[None])
         assert g["w2"] == approx(np.zeros((2, 2)), abs=1e-15)
         assert g["b2"] == approx(np.zeros(2), abs=1e-15)
 
     @pytest.mark.parametrize(
         "label,norm",
         [
-            (smooth_label(one_hot(0, 2), 0.3), False),
-            (temper_label(one_hot(1, 2), 0.4), False),
-            (smooth_label(one_hot(1, 2), 0.2), True),
+            (label(0, 2, 0.3), False),
+            (label(1, 2, 0.4, smoothed=False), False),
+            (label(1, 2, 0.2), True),
         ],
     )
     def test_matches_finite_differences(self, label, norm):
         params = tiny_params()
-        x = np.random.default_rng(11).standard_normal(2) + 0.5
-        analytic = grad(params, x, label, include_normalizer=norm)
+        x = np.random.default_rng(11).standard_normal((1, 2)) + 0.5
+        _, analytic = loss_and_grad(params, x, label[None], include_normalizer=norm)
         numeric = finite_difference_grads(
-            lambda: loss_value(params, x, label, include_normalizer=norm), params
+            lambda: loss_and_grad(params, x, label[None], include_normalizer=norm)[0], params
         )
         assert max_rel_gradient_error(analytic, numeric) <= 1e-5
 
     def test_logit_gradient_sums_to_zero(self):
-        # d(-sum y_c logp_c)/d logits = f * sum(y) - y, which always sums to 0
+        # d(-sum y_c logp_c)/d logits = f * sum(y) - y, which always sums to 0;
+        # for a batch of one it is the gradient of the output bias
         params = tiny_params(seed=3)
         x = np.array([0.3, -0.8])
-        logp = forward(params, x)
-        f = np.exp(logp)
-        for y in (smooth_label(one_hot(0, 2), 0.25), temper_label(one_hot(0, 2), 0.25)):
-            dlogits = f * y.probs.sum() - y.probs
+        f = np.exp(log_probs(params, x))
+        for y in (label(0, 2, 0.25), label(0, 2, 0.25, smoothed=False)):
+            dlogits = f * y.sum() - y
             assert dlogits.sum() == approx(0.0, abs=1e-12)
+            _, g = loss_and_grad(params, x[None], y[None])
+            assert g["b2"] == approx(dlogits, abs=1e-12)
+
+    def test_batch_loss_is_mean_of_rows(self):
+        params = tiny_params(seed=5)
+        x = np.random.default_rng(2).standard_normal((3, 2))
+        y = soft_labels(np.array([0, 1, 1]), np.array([0.1, 0.5, 0.9]), 2)
+        for norm in (False, True):
+            loss, grads = loss_and_grad(params, x, y, include_normalizer=norm)
+            rows = [loss_and_grad(params, x[i : i + 1], y[i : i + 1], norm) for i in range(3)]
+            assert loss == approx(np.mean([r[0] for r in rows]), abs=1e-12)
+            for name, g in grads.items():
+                assert g == approx(np.mean([r[1][name] for r in rows], axis=0), abs=1e-12)
 
 
 class TestCosineLr:
@@ -200,11 +222,13 @@ class TestTrain:
         sched = ScheduleConfig.for_width(4)
         params = init_params(16, 8, 2, seed=0)
         samples = mollify_batch(ds.images, sched, seed=4)
+        x = samples.image.reshape(len(samples), -1)
+        y = soft_labels(ds.labels, samples.gamma, 2)
         for img_idx in range(16):
-            y = smooth_label(one_hot(int(ds.labels[img_idx]), 2), samples.gamma[img_idx])
-            probs = y.probs[y.probs > 0]
+            probs = y[img_idx][y[img_idx] > 0]
             entropy = float(-(probs * np.log(probs)).sum())
-            assert loss_value(params, samples.image[img_idx], y) >= entropy - 1e-12
+            loss, _ = loss_and_grad(params, x[img_idx : img_idx + 1], y[img_idx : img_idx + 1])
+            assert loss >= entropy - 1e-12
 
 
 class TestPredict:
