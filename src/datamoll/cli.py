@@ -6,10 +6,12 @@ mollified copy of a dataset), ``train``, ``eval`` (clean and, optionally,
 the 4-corruption x 5-severity grid), ``infocurve`` (PNG compression ratios
 over blur temperatures), and ``spectra`` (per-corruption DCT change grids).
 
-Every command but ``ingest`` (which reads no setting) takes an explicit
-seed and echoes the effective configuration and its hash into the output
-directory (``run.json``); all commands write outputs atomically.  Exit
-codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+``_READS`` names the top-level config keys each command but ``ingest``
+(which reads no setting) reads.  They fix the command's flags, and only
+they are echoed into the output directory's ``run.json`` and hashed into
+its config hash, which takes the dataset by content, not by path.  All
+commands write outputs atomically.  Exit codes: 0 success, 2 usage error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from .analysis import (
 from .errors import DataError, TrainingDivergedError
 from .ioutil import write_text
 from .metrics import evaluate, format_report_table, write_records_csv
-from .mol1 import Mol1Dataset, load_mol1, save_mol1
+from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
 from .schedules import (
     ScheduleConfig,
@@ -51,6 +53,7 @@ from .schedules import (
 )
 from .synth import standardized_dataset
 from .trainer import (
+    LOSS_KINDS,
     TrainConfig,
     load_params,
     predict_batch,
@@ -62,6 +65,18 @@ from .trainer import (
 # sigma_max for commands that have no dataset to take a width from.
 DEFAULT_SIGMA_MAX = 32.0
 _SPECTRA_SEVERITY = 3
+
+# The top-level config keys each command reads.  They pick the command's
+# flags, and only they go into run.json and the config hash; a shared
+# config file may set the other keys too.
+_READS = {
+    "schedule-dump": ("schedule", "t_steps"),
+    "mollify": ("seed", "dataset", "schedule"),
+    "train": ("seed", "dataset", "schedule", "train"),
+    "eval": ("seed", "dataset", "bins", "corruptions"),
+    "infocurve": ("dataset", "schedule", "t_steps"),
+    "spectra": ("seed", "dataset"),
+}
 
 
 def _field_defaults(cls) -> dict:
@@ -80,7 +95,7 @@ _DEFAULTS: dict = {
     # sigma_max is resolved to the dataset width when available.
     "schedule": _field_defaults(ScheduleConfig),
     "train": {
-        "lr" if name == "lr0" else name: value
+        name: value
         for name, value in _field_defaults(TrainConfig).items()
         if name not in ("schedule", "seed")
     },
@@ -114,20 +129,27 @@ def _parse_mode_probs(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, *, dataset: bool = True) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    parser.add_argument("--seed", type=int, metavar="U64", help="run seed")
-    parser.add_argument("--out", metavar="DIR", required=True, help="output directory")
-    if dataset:
-        parser.add_argument("--dataset", metavar="PATH", help="MOL1 dataset path")
-
-
-def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-noise", type=float, metavar="F")
-    parser.add_argument("--k-blur", type=float, metavar="F")
-    parser.add_argument("--beta-alpha", type=float, metavar="F")
-    parser.add_argument("--beta-beta", type=float, metavar="F")
-    parser.add_argument("--mode-probs", type=_parse_mode_probs, metavar="F,F,F")
+_N = {"type": int, "metavar": "N"}
+_F = {"type": float, "metavar": "F"}
+_BOOL = {"type": _parse_bool, "metavar": "BOOL"}
+# The flags of each key; a flag's argparse dest is the name of the key it sets.
+_FLAGS = {
+    "seed": {"--seed": {"type": int, "metavar": "U64", "help": "run seed"}},
+    "dataset": {"--dataset": {"metavar": "PATH", "help": "MOL1 dataset path"}},
+    "schedule": {
+        **dict.fromkeys(("--k-noise", "--k-blur", "--beta-alpha", "--beta-beta"), _F),
+        "--mode-probs": {"type": _parse_mode_probs, "metavar": "F,F,F"},
+    },
+    "train": {
+        "--mollify": _BOOL,
+        "--loss": {"choices": LOSS_KINDS},
+        **dict.fromkeys(("--epochs", "--batch-size"), _N),
+        "--lr": _F,
+    },
+    "bins": {"--bins": _N},
+    "corruptions": {"--corruptions": _BOOL},
+    "t_steps": {"--t-steps": _N},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,38 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src", help="directory of .csv/.raw images, or a MOL1 file to re-ingest")
     p.add_argument("--out", metavar="PATH", required=True, help="MOL1 output path")
 
-    p = sub.add_parser("schedule-dump", help="write all schedule curves as CSV")
-    _add_common(p, dataset=False)
-    _add_schedule_flags(p)
-    p.add_argument("--t-steps", type=int, metavar="N")
-
-    p = sub.add_parser("mollify", help="export a mollified copy of a dataset")
-    _add_common(p)
-    _add_schedule_flags(p)
-
-    p = sub.add_parser("train", help="train the desk-scale classifier")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--mollify", type=_parse_bool, metavar="BOOL")
-    p.add_argument("--loss", choices=("smoothed", "tempered", "normalized"))
-    p.add_argument("--epochs", type=int, metavar="N")
-    p.add_argument("--batch-size", type=int, metavar="N")
-    p.add_argument("--lr", type=float, metavar="F")
-
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    p.add_argument("params", help="parameter file written by train")
-    _add_common(p)
-    p.add_argument("--bins", type=int, metavar="N")
-    p.add_argument("--corruptions", type=_parse_bool, metavar="BOOL")
-
-    p = sub.add_parser("infocurve", help="PNG compression ratios over blur temperatures")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--t-steps", type=int, metavar="N")
-
-    p = sub.add_parser("spectra", help="mean DCT change per corruption kind")
-    _add_common(p)
-
+    for command, keys in _READS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        if command == "eval":
+            p.add_argument("params", help="parameter file written by train")
+        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
+        p.add_argument("--out", metavar="DIR", required=True, help="output directory")
+        for key in keys:
+            for flag, options in _FLAGS[key].items():
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -212,9 +211,9 @@ def _check_config(value, default, path: str) -> None:
 
 
 def effective_config(ns: argparse.Namespace) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """The keys ``ns.command`` reads: defaults, overlaid by the config file, then by flags."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
-    if getattr(ns, "config", None):
+    if ns.config:
         path = Path(ns.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
@@ -223,8 +222,8 @@ def effective_config(ns: argparse.Namespace) -> dict:
             raise DataError(f"config file {path} must contain a JSON object")
         _check_config(loaded, _DEFAULTS, "")
         cfg = _merge(cfg, loaded)
-    # Each flag's argparse dest is the name of the config key it overrides.
-    for section in (cfg, cfg["schedule"], cfg["train"]):
+    cfg = {key: cfg[key] for key in _READS[ns.command]}
+    for section in (cfg, *(value for value in cfg.values() if isinstance(value, dict))):
         for key in section:
             value = getattr(ns, key, None)
             if value is not None:
@@ -232,26 +231,64 @@ def effective_config(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict, command: str) -> str:
+def dataset_sha256(path: str | Path) -> str:
+    """SHA-256 of a MOL1 container's bytes followed by its manifest's."""
+    digest = hashlib.sha256(Path(path).read_bytes())
+    digest.update(manifest_path(path).read_bytes())
+    return digest.hexdigest()
+
+
+def config_hash(cfg: dict, command: str, dataset_digest: str | None = None) -> str:
+    """SHA-256 of the command and its config, the dataset given by its content digest."""
     payload = {"command": command, **cfg}
+    if "dataset" in cfg:
+        payload["dataset"] = dataset_digest
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _schedule_from(cfg: dict, width: int | None) -> ScheduleConfig:
-    s = cfg["schedule"]
-    if s["sigma_max"] is None:
-        # Resolved in place, so run.json records the value used.
-        s["sigma_max"] = float(width) if width is not None else DEFAULT_SIGMA_MAX
-    return ScheduleConfig(**s)
+@dataclass(frozen=True)
+class Run:
+    """What a command reads, resolved and checked before it runs."""
+
+    out: Path
+    cfg: dict  # the command's keys of the effective config
+    config_hash: str
+    dataset: Mol1Dataset | None
+    schedule: ScheduleConfig | None
+    train: TrainConfig | None
+    t_grid: list[float] | None
 
 
-def _write_run_metadata(out_dir: Path, command: str, cfg: dict) -> str:
-    digest = config_hash(cfg, command)
-    payload = {
-        "command": command,
-        "config_hash": digest,
-        "seed": cfg["seed"],
+def start_run(ns: argparse.Namespace) -> Run:
+    """Resolve and check the settings ``ns.command`` reads, then write run.json."""
+    cfg = effective_config(ns)
+    dataset = digest = schedule = train_cfg = t_grid = None
+    if "dataset" in cfg:
+        if not cfg["dataset"]:
+            raise DataError("this command needs --dataset (or a dataset entry in the config)")
+        dataset = load_mol1(cfg["dataset"])
+        digest = dataset_sha256(cfg["dataset"])
+    if "schedule" in cfg:
+        s = cfg["schedule"]
+        if s["sigma_max"] is None:
+            # Resolved in place, so run.json records the value used.
+            s["sigma_max"] = float(dataset.width) if dataset else DEFAULT_SIGMA_MAX
+        schedule = ScheduleConfig(**s)
+    if "train" in cfg:
+        train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], **cfg["train"])
+    if "t_steps" in cfg:
+        if cfg["t_steps"] < 2:
+            raise DataError(f"t_steps must be >= 2, got {cfg['t_steps']}")
+        t_grid = [float(t) for t in np.linspace(0.0, 1.0, cfg["t_steps"])]
+    run = Run(
+        Path(ns.out), cfg, config_hash(cfg, ns.command, digest), dataset, schedule, train_cfg, t_grid
+    )
+    meta = {
+        "command": ns.command,
+        "config_hash": run.config_hash,
+        "dataset_sha256": digest,
+        "seed": cfg.get("seed"),
         "versions": {
             "datamoll": __version__,
             "numpy": np.__version__,
@@ -259,22 +296,9 @@ def _write_run_metadata(out_dir: Path, command: str, cfg: dict) -> str:
         },
         "config": cfg,
     }
-    write_text(out_dir / "run.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return digest
-
-
-def _require_dataset(cfg: dict) -> Mol1Dataset:
-    if not cfg.get("dataset"):
-        raise DataError("this command needs --dataset (or a dataset entry in the config)")
-    return load_mol1(cfg["dataset"])
-
-
-def _t_grid(cfg: dict) -> list[float]:
-    """``t_steps`` evenly spaced temperatures from 0 to 1."""
-    t_steps = int(cfg["t_steps"])
-    if t_steps < 2:
-        raise DataError(f"t_steps must be >= 2, got {t_steps}")
-    return [float(t) for t in np.linspace(0.0, 1.0, t_steps)]
+    meta = {key: value for key, value in meta.items() if value is not None}
+    write_text(run.out / "run.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return run
 
 
 def _float_cell(value: float) -> str:
@@ -382,89 +406,66 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------- schedule-dump
 
 
-def cmd_schedule_dump(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    grid = _t_grid(cfg)
-    schedule = _schedule_from(cfg, width=None)
-    out_dir = Path(ns.out)
+def cmd_schedule_dump(ns: argparse.Namespace, run: Run) -> int:
+    """write all schedule curves as CSV"""
+    schedule = run.schedule
     rows = []
-    for t in grid:
+    for t in run.t_grid:
         alpha, sigma = alpha_sigma(t)
         sig_b = blur_sigma(t, schedule)
-        rows.append(
-            [
-                _float_cell(t),
-                _float_cell(alpha),
-                _float_cell(sigma),
-                _float_cell(snr(t)),
-                _float_cell(gamma_noise(t, schedule.k_noise)),
-                _float_cell(sig_b),
-                _float_cell(dissipation_time(sig_b)),
-                _float_cell(gamma_blur(t, schedule.k_blur)),
-            ]
-        )
+        values = [t, alpha, sigma, snr(t), gamma_noise(t, schedule.k_noise)]
+        values += [sig_b, dissipation_time(sig_b), gamma_blur(t, schedule.k_blur)]
+        rows.append([_float_cell(v) for v in values])
     _write_csv(
-        out_dir / "schedules.csv",
+        run.out / "schedules.csv",
         ["t", "alpha", "sigma", "snr", "gamma_noise", "sigma_b", "tau", "gamma_blur"],
         rows,
     )
-    _write_run_metadata(out_dir, "schedule-dump", cfg)
     return 0
 
 
 # ----------------------------------------------------------------- mollify
 
 
-def cmd_mollify(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    dataset = _require_dataset(cfg)
-    schedule = _schedule_from(cfg, dataset.width)
-    out_dir = Path(ns.out)
-    samples = mollify_batch(dataset.images, schedule, int(cfg["seed"]))
-    digest = _write_run_metadata(out_dir, "mollify", cfg)
+def cmd_mollify(ns: argparse.Namespace, run: Run) -> int:
+    """export a mollified copy of a dataset"""
+    dataset = run.dataset
+    samples = mollify_batch(dataset.images, run.schedule, int(run.cfg["seed"]))
     mollified = Mol1Dataset(
         images=samples.image,
         labels=dataset.labels,
         num_classes=dataset.num_classes,
         stats=dataset.stats,
-        provenance=f"mollify:{digest}",
+        provenance=f"mollify:{run.config_hash}",
     )
-    save_mol1(mollified, out_dir / "mollified.mol1")
+    save_mol1(mollified, run.out / "mollified.mol1")
     rows = [
         [str(i), mode, _float_cell(t), _float_cell(gamma)]
         for i, (mode, t, gamma) in enumerate(zip(samples.mode, samples.t, samples.gamma))
     ]
-    _write_csv(out_dir / "mollify.csv", ["index", "mode", "t", "gamma"], rows)
+    _write_csv(run.out / "mollify.csv", ["index", "mode", "t", "gamma"], rows)
     return 0
 
 
 # ------------------------------------------------------------------- train
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    dataset = _require_dataset(cfg)
-    schedule = _schedule_from(cfg, dataset.width)
-    t = dict(cfg["train"])
-    train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], lr0=t.pop("lr"), **t)
-    out_dir = Path(ns.out)
-    digest = _write_run_metadata(out_dir, "train", cfg)
-    params, report = train(dataset, train_cfg)
-    save_params(params, out_dir / "params.bin", train_cfg.seed, digest)
-    write_text(out_dir / "train_report.csv", report.to_csv())
-    print(f"trained {train_cfg.epochs} epochs; final loss {report.epochs[-1].mean_loss:.6f}")
+def cmd_train(ns: argparse.Namespace, run: Run) -> int:
+    """train the desk-scale classifier"""
+    params, report = train(run.dataset, run.train)
+    save_params(params, run.out / "params.bin", run.train.seed, run.config_hash)
+    write_text(run.out / "train_report.csv", report.to_csv())
+    print(f"trained {run.train.epochs} epochs; final loss {report.epochs[-1].mean_loss:.6f}")
     return 0
 
 
 # -------------------------------------------------------------------- eval
 
 
-def cmd_eval(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    dataset = _require_dataset(cfg)
+def cmd_eval(ns: argparse.Namespace, run: Run) -> int:
+    """evaluate a trained model"""
+    dataset, cfg = run.dataset, run.cfg
     params, _header = load_params(ns.params)
-    out_dir = Path(ns.out)
-    digest = _write_run_metadata(out_dir, "eval", cfg)
     bins = cfg["bins"]
     records = [predict_batch(params, dataset, tag="clean")]
     clean_report = evaluate(records[0], num_bins=bins)
@@ -473,15 +474,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         for tag, batch in corruption_grid(dataset.images, cfg["seed"]):
             records.append(predict_records(params, batch, dataset.labels, tag=tag))
         corrupted_report = evaluate(np.concatenate(records[1:]), num_bins=bins)
-    write_records_csv(np.concatenate(records), out_dir / "records.csv")
-    payload = {"config_hash": digest, "seed": cfg["seed"], "clean": clean_report.to_dict()}
+    write_records_csv(np.concatenate(records), run.out / "records.csv")
+    payload = {"config_hash": run.config_hash, "seed": cfg["seed"], "clean": clean_report.to_dict()}
     if corrupted_report is not None:
         payload["corrupted"] = corrupted_report.to_dict()
-    write_text(out_dir / "eval.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(run.out / "eval.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     text = format_report_table(clean_report, title="clean")
     if corrupted_report is not None:
         text += "\n" + format_report_table(corrupted_report, title="corrupted(all)")
-    write_text(out_dir / "eval.txt", text)
+    write_text(run.out / "eval.txt", text)
     print(text, end="")
     return 0
 
@@ -489,34 +490,30 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------- infocurve
 
 
-def cmd_infocurve(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    dataset = _require_dataset(cfg)
-    schedule = _schedule_from(cfg, dataset.width)
-    out_dir = Path(ns.out)
-    points = info_curve(dataset.images, dataset.stats, schedule, _t_grid(cfg))
+def cmd_infocurve(ns: argparse.Namespace, run: Run) -> int:
+    """PNG compression ratios over blur temperatures"""
+    dataset = run.dataset
+    points = info_curve(dataset.images, dataset.stats, run.schedule, run.t_grid)
     rows = [
         [_float_cell(p.t), _float_cell(p.sigma_b), _float_cell(p.mean_ratio)] for p in points
     ]
-    _write_csv(out_dir / "infocurve.csv", ["t", "sigma_b", "mean_ratio"], rows)
-    _write_run_metadata(out_dir, "infocurve", cfg)
+    _write_csv(run.out / "infocurve.csv", ["t", "sigma_b", "mean_ratio"], rows)
     return 0
 
 
 # ----------------------------------------------------------------- spectra
 
 
-def cmd_spectra(ns: argparse.Namespace) -> int:
-    cfg = effective_config(ns)
-    dataset = _require_dataset(cfg)
-    out_dir = Path(ns.out)
+def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
+    """mean DCT change per corruption kind"""
+    images = run.dataset.images
     annuli_rows = []
     for kind in CORRUPTION_KINDS:
-        corrupted = corruption_cell(dataset.images, kind, _SPECTRA_SEVERITY, cfg["seed"])
-        delta = spectral_delta(dataset.images, corrupted, tag=kind)
+        corrupted = corruption_cell(images, kind, _SPECTRA_SEVERITY, run.cfg["seed"])
+        delta = spectral_delta(images, corrupted, tag=kind)
         grid_rows = [[_float_cell(v) for v in row] for row in delta.grid]
         _write_csv(
-            out_dir / f"spectral_{kind}.csv",
+            run.out / f"spectral_{kind}.csv",
             [f"w{j}" for j in range(delta.grid.shape[1])],
             grid_rows,
         )
@@ -524,16 +521,15 @@ def cmd_spectra(ns: argparse.Namespace) -> int:
         for b, (center, mean) in enumerate(zip(centers, means)):
             annuli_rows.append([kind, str(b), _float_cell(center), _float_cell(mean)])
     _write_csv(
-        out_dir / "spectra_annuli.csv",
+        run.out / "spectra_annuli.csv",
         ["kind", "band", "center", "mean_delta"],
         annuli_rows,
     )
-    _write_run_metadata(out_dir, "spectra", cfg)
     return 0
 
 
+# The commands that read settings; their docstrings are their help lines.
 _COMMANDS = {
-    "ingest": cmd_ingest,
     "schedule-dump": cmd_schedule_dump,
     "mollify": cmd_mollify,
     "train": cmd_train,
@@ -550,7 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command](ns)
+        if ns.command == "ingest":
+            return cmd_ingest(ns)
+        return _COMMANDS[ns.command](ns, start_run(ns))
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

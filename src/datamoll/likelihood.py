@@ -1,9 +1,9 @@
 """Log-space likelihood machinery for soft labels.
 
-Provides the soft-label cross-entropy, the tempered class log-likelihood,
-the normalizing constant Z that turns the smoothed-label score into a
-proper density over smoothing levels, and three Monte-Carlo estimators of
-a per-example log marginal likelihood from K per-augmentation samples:
+Provides the normalizing constant Z that turns the smoothed-label score
+into a proper density over smoothing levels, its gradient, and three
+Monte-Carlo estimators of a per-example log marginal likelihood from K
+per-augmentation samples:
 
 * ``naive``      log of the sample mean of the likelihoods,
 * ``jensen``     mean of the log-likelihoods (a lower bound; equivalently
@@ -15,7 +15,9 @@ With f the softmax probabilities and K_geo their geometric mean, the
 normalizer is Z = sum_j (K_geo - f_j) / (log K_geo - log f_j), each term
 falling back to its limit value f_j as f_j -> K_geo.  Everything here is
 computed in log space; the naive form of Z underflows long before the
-log-space one does.
+log-space one does.  The soft-label cross-entropy itself, which is the
+tempered log-likelihood for a tempered label, has one source:
+``trainer.loss_and_grad``.
 """
 
 from __future__ import annotations
@@ -36,25 +38,6 @@ def _as_logp(logp: np.ndarray) -> np.ndarray:
     if lp.ndim < 1 or lp.shape[-1] < 2:
         raise ValueError(f"need a vector of at least 2 log-probabilities, got {lp.shape}")
     return lp
-
-
-def soft_cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
-    """Return -sum_c y_c * logp_c for a soft label vector ``y``."""
-    lp = _as_logp(logp)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != lp.shape:
-        raise ValueError(f"label shape {y.shape} does not match {lp.shape}")
-    return float(-np.dot(y, lp))
-
-
-def tempered_log_likelihood(logp: np.ndarray, class_index: int, gamma: float) -> float:
-    """(1 - gamma) * logp[class_index]; the log of the tempered likelihood."""
-    lp = _as_logp(logp)
-    if not 0 <= class_index < lp.shape[-1]:
-        raise ValueError(f"class index {class_index} out of range for C={lp.shape[-1]}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return (1.0 - gamma) * float(lp[class_index])
 
 
 def _log_exprel(x: np.ndarray) -> np.ndarray:

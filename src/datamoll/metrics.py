@@ -160,17 +160,31 @@ def format_report_table(report: EvalReport, title: str = "overall") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a csv row with more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
-    """CSV with header index,tag,true_class,p0,...,p{C-1}."""
+    """CSV with header index,tag,true_class,p0,...,p{C-1}, formatted column by column.
+
+    The bytes are those of ``csv.writer``: a tag is quoted only where it must
+    be, and a probability is written as its repr, so it round-trips exactly.
+    """
     _require_records(preds)
     probs = preds["probs"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "tag", "true_class"] + [f"p{i}" for i in range(probs.shape[1])])
-    columns = zip(preds["tag"].tolist(), preds["true_class"].tolist(), probs.tolist())
-    # csv writes a float as its repr, so probabilities round-trip exactly.
-    writer.writerows([i, tag, cls, *row] for i, (tag, cls, row) in enumerate(columns))
-    write_text(path, buf.getvalue())
+    names, which = np.unique(preds["tag"], return_inverse=True)
+    tags = [_csv_field(str(name)) for name in names]
+    columns = [
+        map(str, range(len(preds))),
+        map(tags.__getitem__, which.tolist()),
+        map(str, preds["true_class"].tolist()),
+        *(map(repr, column) for column in probs.T.tolist()),
+    ]
+    header = ["index", "tag", "true_class"] + [f"p{i}" for i in range(probs.shape[1])]
+    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 def read_records_csv(path: str | Path) -> np.recarray:

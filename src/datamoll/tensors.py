@@ -62,28 +62,26 @@ class ChannelStats:
         return self.mean.shape[0]
 
 
-def compute_channel_stats(dataset: Sequence[np.ndarray]) -> ChannelStats:
+def compute_channel_stats(dataset: Sequence[np.ndarray] | np.ndarray) -> ChannelStats:
     """Two-pass per-channel mean and population std over all pixels.
 
-    The std is floored at ``STD_FLOOR`` so constant channels stay usable.
+    ``dataset`` is an (N, H, W, C) stack or a sequence of equal-shape
+    (H, W, C) images.  Per-image sums are added in image order, and the std
+    is floored at ``STD_FLOOR`` so constant channels stay usable.
     """
     if len(dataset) == 0:
         raise DataError("cannot compute channel statistics of an empty dataset")
-    images = [ensure_image(img) for img in dataset]
-    channels = images[0].shape[2]
-    for i, img in enumerate(images):
-        if img.shape[2] != channels:
-            raise DataError(
-                f"image {i} has {img.shape[2]} channels, expected {channels}"
-            )
-    count = sum(img.shape[0] * img.shape[1] for img in images)
-    total = np.zeros(channels)
-    for img in images:
-        total += img.sum(axis=(0, 1))
-    mean = total / count
-    sq = np.zeros(channels)
-    for img in images:
-        sq += ((img - mean) ** 2).sum(axis=(0, 1))
+    try:
+        images = np.asarray(dataset, dtype=np.float64)
+    except ValueError:
+        raise DataError("images must all have one (H, W, C) shape") from None
+    if images.ndim != 4 or min(images.shape) < 1:
+        raise DataError(f"images must form an (N, H, W, C) stack, got shape {images.shape}")
+    if not np.all(np.isfinite(images)):
+        raise DataError("images contain non-finite values")
+    count = images.size // images.shape[3]
+    mean = np.cumsum(images.sum(axis=(1, 2)), axis=0)[-1] / count
+    sq = np.cumsum(((images - mean) ** 2).sum(axis=(1, 2)), axis=0)[-1]
     std = np.maximum(np.sqrt(sq / count), STD_FLOOR)
     return ChannelStats(mean=mean, std=std)
 

@@ -43,7 +43,7 @@ class TrainConfig:
     schedule: ScheduleConfig
     epochs: int = 100
     batch_size: int = 128
-    lr0: float = 0.01
+    lr: float = 0.01
     hidden_units: int = 128
     seed: int = 0
     loss: str = "smoothed"
@@ -53,8 +53,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_units < 1:
             raise ValueError("epochs, batch_size, and hidden_units must be >= 1")
-        if self.lr0 <= 0:
-            raise ValueError(f"initial learning rate must be positive, got {self.lr0}")
+        if self.lr <= 0:
+            raise ValueError(f"initial learning rate must be positive, got {self.lr}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.samples_per_image < 1:
@@ -154,10 +154,10 @@ def loss_and_grad(
 
 
 def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
-    """lr0 * (1 + cos(pi * epoch / epochs)) / 2."""
+    """lr * (1 + cos(pi * epoch / epochs)) / 2, where lr is the initial rate."""
     if not 0 <= epoch < cfg.epochs:
         raise ValueError(f"epoch {epoch} out of range for {cfg.epochs} epochs")
-    return cfg.lr0 * (1.0 + math.cos(math.pi * epoch / cfg.epochs)) / 2.0
+    return cfg.lr * (1.0 + math.cos(math.pi * epoch / cfg.epochs)) / 2.0
 
 
 def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,7 @@ from datamoll.metrics import read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
 from datamoll.synth import grating_dataset, standardized_dataset
-from datamoll.trainer import MlpParams, save_params
+from datamoll.trainer import MlpParams, load_params, save_params
 
 
 @pytest.fixture(scope="module")
@@ -139,10 +141,13 @@ class TestScheduleDump:
 
     def test_run_metadata_written(self, tmp_path):
         out = tmp_path / "dump"
-        assert main(["schedule-dump", "--out", str(out), "--seed", "7"]) == 0
+        assert main(["schedule-dump", "--out", str(out), "--t-steps", "7"]) == 0
         meta = json.loads((out / "run.json").read_text())
         assert meta["command"] == "schedule-dump"
-        assert meta["seed"] == 7
+        assert meta["config"]["t_steps"] == 7
+        # schedule-dump reads no seed and no dataset, so run.json records neither
+        assert set(meta["config"]) == {"schedule", "t_steps"}
+        assert "seed" not in meta and "dataset_sha256" not in meta
         assert len(meta["config_hash"]) == 64
         assert "numpy" in meta["versions"]
 
@@ -276,6 +281,127 @@ class TestInfocurveAndSpectra:
         assert len(rows) == 4 * 8
 
 
+def _run_json(out):
+    return json.loads((Path(out) / "run.json").read_text())
+
+
+class TestRunRecord:
+    EXPECTED_KEYS = {
+        "schedule-dump": {"schedule", "t_steps"},
+        "mollify": {"seed", "dataset", "schedule"},
+        "train": {"seed", "dataset", "schedule", "train"},
+        "eval": {"seed", "dataset", "bins", "corruptions"},
+        "infocurve": {"dataset", "schedule", "t_steps"},
+        "spectra": {"seed", "dataset"},
+    }
+
+    @staticmethod
+    def _argv(command, dataset_path, trained, out):
+        argv = [command, "--out", str(out)]
+        if command == "eval":
+            argv.insert(1, str(trained / "params.bin"))
+        if command != "schedule-dump":
+            argv += ["--dataset", str(dataset_path)]
+        if command == "train":
+            argv += ["--epochs", "1"]
+        if command in ("schedule-dump", "infocurve"):
+            argv += ["--t-steps", "3"]
+        return argv
+
+    @pytest.mark.parametrize("command", list(EXPECTED_KEYS))
+    def test_config_holds_the_keys_the_command_reads(
+        self, dataset_path, trained, tmp_path, command
+    ):
+        out = tmp_path / "o"
+        assert main(self._argv(command, dataset_path, trained, out)) == 0
+        meta = _run_json(out)
+        assert set(meta["config"]) == self.EXPECTED_KEYS[command]
+        # The hash covers the command, its keys, and the dataset's content digest.
+        payload = {"command": command, **meta["config"]}
+        if "dataset" in payload:
+            assert meta["config"]["dataset"] == str(dataset_path)
+            manifest = Path(str(dataset_path) + ".json")
+            content = dataset_path.read_bytes() + manifest.read_bytes()
+            assert meta["dataset_sha256"] == hashlib.sha256(content).hexdigest()
+            payload["dataset"] = meta["dataset_sha256"]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert meta["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_same_dataset_bytes_in_two_directories_give_one_hash(self, dataset_path, tmp_path):
+        seen = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            root.mkdir()
+            data = root / "train.mol1"
+            shutil.copy(dataset_path, data)
+            shutil.copy(str(dataset_path) + ".json", str(data) + ".json")
+            common = ["--dataset", str(data), "--seed", "2"]
+            assert main(["mollify", "--out", str(root / "m")] + common) == 0
+            assert main(["train", "--out", str(root / "t"), "--epochs", "1"] + common) == 0
+            params = root / "t" / "params.bin"
+            assert main(["eval", str(params), "--out", str(root / "e")] + common) == 0
+            seen.append(
+                {
+                    "run.json": [_run_json(root / d)["config_hash"] for d in ("m", "t", "e")],
+                    "eval.json": json.loads((root / "e" / "eval.json").read_text())["config_hash"],
+                    "params.bin": load_params(params)[1]["config_hash"],
+                    "mollified.mol1": load_mol1(root / "m" / "mollified.mol1").provenance,
+                }
+            )
+            # run.json still shows the path it read
+            assert _run_json(root / "e")["config"]["dataset"] == str(data)
+        assert seen[0] == seen[1]
+        hashes = seen[0]["run.json"]
+        assert hashes[1] == seen[0]["params.bin"] and hashes[2] == seen[0]["eval.json"]
+        assert seen[0]["mollified.mol1"] == f"mollify:{hashes[0]}"
+
+    def test_dataset_content_changes_the_hash(self, dataset_path, tmp_path):
+        data = tmp_path / "d.mol1"
+        ds = load_mol1(dataset_path)
+        ds.provenance = "another source"
+        save_mol1(ds, data)
+        hashes = []
+        for path in (dataset_path, data):
+            out = tmp_path / f"s{len(hashes)}"
+            assert main(["spectra", "--dataset", str(path), "--out", str(out)]) == 0
+            hashes.append(_run_json(out)["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize(
+        "command, unread, read",
+        [
+            ("eval", {"train": {"epochs": 3}}, {"bins": 10}),
+            ("eval", {"schedule": {"k_noise": 2.0}, "t_steps": 5}, {"corruptions": True}),
+            ("schedule-dump", {"seed": 9, "dataset": "elsewhere.mol1"}, {"schedule": {"k_noise": 2.0}}),
+            ("infocurve", {"seed": 9, "bins": 3}, {"schedule": {"k_blur": 2.0}}),
+            ("spectra", {"train": {"lr": 0.5}, "schedule": {"sigma_max": 8.0}}, {"seed": 9}),
+            ("train", {"bins": 3, "corruptions": True}, {"train": {"batch_size": 16}}),
+        ],
+    )
+    def test_only_keys_the_command_reads_change_its_hash(
+        self, dataset_path, trained, tmp_path, command, unread, read
+    ):
+        hashes = []
+        for i, config in enumerate(({}, unread, read)):
+            out = tmp_path / f"o{i}"
+            argv = self._argv(command, dataset_path, trained, out)
+            argv += ["--config", _write_config(tmp_path / f"c{i}.json", config)]
+            assert main(argv) == 0
+            hashes.append(_run_json(out)["config_hash"])
+            assert set(_run_json(out)["config"]) == self.EXPECTED_KEYS[command]
+        assert hashes[0] == hashes[1]
+        assert hashes[0] != hashes[2]
+
+    @pytest.mark.parametrize("command", ["schedule-dump", "infocurve"])
+    def test_seed_is_a_usage_error_where_unread(self, dataset_path, tmp_path, command):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--seed", "1"]
+        if command == "infocurve":
+            argv += ["--dataset", str(dataset_path)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, dataset_path, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -370,7 +496,7 @@ class TestConfigSchema:
         from datamoll.schedules import ScheduleConfig
         from datamoll.trainer import TrainConfig
 
-        assert _DEFAULTS["train"]["lr"] == TrainConfig.lr0 == 0.01
+        assert _DEFAULTS["train"]["lr"] == TrainConfig.lr == 0.01
         assert _DEFAULTS["train"]["epochs"] == TrainConfig.epochs
         assert set(_DEFAULTS["train"]) == {
             "epochs", "batch_size", "lr", "hidden_units", "loss", "mollify", "samples_per_image"

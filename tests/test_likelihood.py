@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from datamoll.labels import soft_labels
-from datamoll.likelihood import (
-    log_normalizer_Z,
-    log_normalizer_grad,
-    mc_log_marginal,
-    soft_cross_entropy,
-    tempered_log_likelihood,
-)
+from datamoll.likelihood import log_normalizer_Z, log_normalizer_grad, mc_log_marginal
+from datamoll.trainer import MlpParams, loss_and_grad
 from tests.oracles import normalizer_quadrature
 
 
@@ -24,6 +19,23 @@ def logp_of(probs) -> np.ndarray:
 def label(cls, num_classes, gamma=0.0, smoothed=True):
     """One soft label row; gamma 0 gives the one-hot label."""
     return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
+
+
+def soft_cross_entropy(logp, y):
+    """-sum_c y_c logp_c from ``loss_and_grad`` on a batch of one.
+
+    The net's logits are its output bias, set to ``logp``, whose log-softmax
+    is ``logp`` again.
+    """
+    logp = np.asarray(logp, dtype=np.float64)
+    params = MlpParams(np.zeros((1, 1)), np.zeros(1), np.zeros((logp.shape[0], 1)), logp.copy())
+    loss, _ = loss_and_grad(params, np.zeros((1, 1)), np.asarray(y)[None])
+    return loss
+
+
+def tempered_log_likelihood(logp, class_index, gamma):
+    """The log-likelihood of a tempered label, from ``loss_and_grad``."""
+    return -soft_cross_entropy(logp, label(class_index, len(logp), gamma, smoothed=False))
 
 
 class TestSoftCrossEntropy:
@@ -85,12 +97,12 @@ class TestTemperedLogLikelihood:
     def test_matches_cross_entropy_of_tempered_label(self):
         lp = logp_of([0.2, 0.3, 0.5])
         for gamma in (0.0, 0.25, 0.8, 1.0):
-            direct = tempered_log_likelihood(lp, 2, gamma)
+            direct = (1.0 - gamma) * lp[2]
             via_ce = -soft_cross_entropy(lp, label(2, 3, gamma, smoothed=False))
             assert direct == approx(via_ce, abs=1e-15)
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             tempered_log_likelihood(logp_of([0.5, 0.5]), 2, 0.1)
 
 

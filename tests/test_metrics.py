@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -159,6 +161,21 @@ class TestEvaluateAndIo:
         assert np.array_equal(back.probs, recs["probs"])
         assert np.array_equal(back.true_class, recs["true_class"])
         assert np.array_equal(back.tag, recs["tag"])
+
+    def test_csv_bytes_are_those_of_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        recs = random_records(rng, 7, c=3)
+        tags = np.array(["clean", "a,b", 'say "x"', "", " lead", "two\nlines", "é-5"])
+        recs = predictions(recs["probs"], recs["true_class"], tags)
+        path = tmp_path / "records.csv"
+        write_records_csv(recs, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["index", "tag", "true_class", "p0", "p1", "p2"])
+        for i, (tag, cls, probs) in enumerate(zip(tags.tolist(), recs["true_class"], recs["probs"])):
+            writer.writerow([i, tag, int(cls), *probs.tolist()])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert np.array_equal(read_records_csv(path).tag, tags)
 
     def test_record_validation(self):
         with pytest.raises(DataError):

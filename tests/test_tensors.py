@@ -48,6 +48,36 @@ class TestChannelStats:
         with pytest.raises(DataError):
             compute_channel_stats([np.zeros((2, 2, 1)), np.zeros((2, 2, 3))])
 
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [np.zeros((2, 2, 1)), np.zeros((3, 3, 1))],  # ragged
+            [np.zeros((2, 2))],  # not (H, W, C)
+            [np.zeros((2, 0, 1))],  # an empty axis
+            [np.full((2, 2, 1), np.nan)],
+        ],
+    )
+    def test_rejects_what_is_not_a_finite_stack(self, images):
+        with pytest.raises(DataError):
+            compute_channel_stats(images)
+
+    def test_equals_the_per_image_loop_exactly(self):
+        # The reference adds per-image sums in image order, as the stack reduction must.
+        images = np.random.default_rng(5).standard_normal((9, 5, 7, 3)) * 3.0 + 1.0
+        count = 9 * 5 * 7
+        total = np.zeros(3)
+        for img in images:
+            total += img.sum(axis=(0, 1))
+        mean = total / count
+        sq = np.zeros(3)
+        for img in images:
+            sq += ((img - mean) ** 2).sum(axis=(0, 1))
+        std = np.maximum(np.sqrt(sq / count), 1e-8)
+        for dataset in (images, list(images)):
+            stats = compute_channel_stats(dataset)
+            assert np.array_equal(stats.mean, mean)
+            assert np.array_equal(stats.std, std)
+
     def test_nonpositive_std_rejected(self):
         with pytest.raises(DataError):
             ChannelStats(mean=np.zeros(1), std=np.zeros(1))

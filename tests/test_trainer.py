@@ -157,7 +157,7 @@ class TestGrad:
 
 class TestCosineLr:
     def test_schedule_shape(self):
-        cfg = TrainConfig(schedule=ScheduleConfig.for_width(4), epochs=100, lr0=0.01)
+        cfg = TrainConfig(schedule=ScheduleConfig.for_width(4), epochs=100, lr=0.01)
         assert cosine_lr(0, cfg) == 0.01
         assert cosine_lr(50, cfg) == approx(0.005)
         assert cosine_lr(99, cfg) < 1e-4
@@ -202,7 +202,7 @@ class TestTrain:
             epochs=3,
             mollify=False,
             seed=2,
-            lr0=1e160,
+            lr=1e160,
         )
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(ds, cfg)
