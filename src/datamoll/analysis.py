@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,20 +34,46 @@ _PIXELATE_BLOCKS = (2, 3, 4, 5, 6)
 
 
 def _severity_index(severity: int) -> int:
-    if not isinstance(severity, (int, np.integer)) or not 1 <= int(severity) <= 5:
+    is_int = isinstance(severity, (int, np.integer)) and not isinstance(severity, bool)
+    if not is_int or not 1 <= int(severity) <= 5:
         raise ValueError(f"severity must be an integer in 1..5, got {severity!r}")
     return int(severity) - 1
 
 
+def _axis_blocks(n: int, block: int):
+    """(starts, length) of the full blocks along an axis, then of the cut-off one."""
+    full = n - n % block
+    return (np.arange(0, full, block), block), (np.arange(full, n, block), n % block)
+
+
+@lru_cache(maxsize=64)
+def _pixel_blocks(h: int, w: int, block: int) -> tuple[np.ndarray, ...]:
+    """Flat pixel indices of an (h, w) image's blocks, grouped by block shape.
+
+    Each group is a read-only ``(blocks, pixels)`` array, one row per block
+    and its pixels row-major within it.  Gathering a block's pixels in this
+    order makes its mean the same bits as the mean of its slice of a
+    C-contiguous image.
+    """
+    groups = []
+    for rows, bh in _axis_blocks(h, block):
+        for cols, bw in _axis_blocks(w, block):
+            if rows.size and cols.size:
+                corners = np.add.outer(rows * w, cols).reshape(-1, 1)
+                idx = corners + np.add.outer(np.arange(bh) * w, np.arange(bw)).reshape(1, -1)
+                idx.setflags(write=False)
+                groups.append(idx)
+    return tuple(groups)
+
+
 def _pixelate(img: np.ndarray, block: int) -> np.ndarray:
-    out = np.empty_like(img)
-    h, w = img.shape[0], img.shape[1]
-    for i0 in range(0, h, block):
-        i1 = min(i0 + block, h)
-        for j0 in range(0, w, block):
-            j1 = min(j0 + block, w)
-            out[i0:i1, j0:j1] = img[i0:i1, j0:j1].mean(axis=(0, 1))
-    return out
+    """Replace every ``block`` x ``block`` tile (cut off at the edges) by its mean."""
+    h, w, c = img.shape
+    flat = img.reshape(h * w, c)
+    out = np.empty_like(flat)
+    for idx in _pixel_blocks(h, w, block):
+        out[idx] = flat[idx].mean(axis=1)[:, None, :]
+    return out.reshape(img.shape)
 
 
 def corrupt(
@@ -77,20 +104,31 @@ def corrupt(
 
 
 def corruption_cell(
-    images: Sequence[np.ndarray], kind: str, severity: int, seed: int
+    images: np.ndarray | Sequence[np.ndarray], kind: str, severity: int, seed: int
 ) -> np.ndarray:
-    """Stack of ``images`` under one corruption kind and severity.
+    """An ``(N, H, W, C)`` stack of ``images`` under one corruption kind and severity.
 
+    ``images`` is such a stack or a sequence of equal-shape (H, W, C) images.
     Randomness is keyed by (seed, kind index, severity), so any cell can be
     regenerated without the others.
     """
     if kind not in CORRUPTION_KINDS:
         raise ValueError(f"unknown corruption kind {kind!r}; expected one of {CORRUPTION_KINDS}")
+    _severity_index(severity)
+    try:
+        stack = np.asarray(images, dtype=np.float64)
+    except ValueError:
+        raise DataError("images must share one (H, W, C) shape") from None
+    if stack.ndim != 4:
+        raise DataError(f"images must have shape (N, H, W, C), got {stack.shape}")
     rng = stream(seed, CORRUPTION_KINDS.index(kind), severity)
-    return np.stack([corrupt(img, kind, severity, rng) for img in images])
+    out = np.empty_like(stack)
+    for i, img in enumerate(stack):
+        out[i] = corrupt(img, kind, severity, rng)
+    return out
 
 
-def corruption_grid(images: Sequence[np.ndarray], seed: int):
+def corruption_grid(images: np.ndarray | Sequence[np.ndarray], seed: int):
     """Yield ``(tag, corrupted stack)`` over all kinds and severities 1..5."""
     for kind in CORRUPTION_KINDS:
         for severity in range(1, 6):

@@ -13,6 +13,7 @@ outcomes do not depend on processing order.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +40,21 @@ def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarr
     return alpha * img + sigma * eps
 
 
+@lru_cache(maxsize=64)
+def _heat_rates(height: int, width: int) -> np.ndarray:
+    """Read-only per-frequency decay rates pi^2 (w^2/W^2 + h^2/H^2)."""
+    fh = (np.arange(height) / height) ** 2
+    fw = (np.arange(width) / width) ** 2
+    rates = (math.pi**2) * (fh[:, None] + fw[None, :])
+    rates.setflags(write=False)
+    return rates
+
+
 def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     """Per-frequency attenuation exp(-tau * pi^2 (w^2/W^2 + h^2/H^2))."""
     if tau < 0:
         raise ValueError(f"dissipation time must be non-negative, got {tau}")
-    fh = (np.arange(height) / height) ** 2
-    fw = (np.arange(width) / width) ** 2
-    lam = (math.pi**2) * (fh[:, None] + fw[None, :])
-    return np.exp(-tau * lam)
+    return np.exp(-tau * _heat_rates(height, width))
 
 
 def heat_blur(img: np.ndarray, tau: float) -> np.ndarray:

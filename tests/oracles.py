@@ -32,6 +32,25 @@ def naive_dct2(channel: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_pixelate(img: np.ndarray, block: int) -> np.ndarray:
+    """Per-block loop: each block x block tile, cut off at the edges, by its mean."""
+    out = np.empty_like(img)
+    h, w = img.shape[0], img.shape[1]
+    for i0 in range(0, h, block):
+        i1 = min(i0 + block, h)
+        for j0 in range(0, w, block):
+            j1 = min(j0 + block, w)
+            out[i0:i1, j0:j1] = img[i0:i1, j0:j1].mean(axis=(0, 1))
+    return out
+
+
+def closed_form_heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
+    """exp(-tau * pi^2 (w^2/W^2 + h^2/H^2)), built from scratch on every call."""
+    fh = (np.arange(height) / height) ** 2
+    fw = (np.arange(width) / width) ** 2
+    return np.exp(-tau * ((math.pi**2) * (fh[:, None] + fw[None, :])))
+
+
 def two_pass_stats(images: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force per-channel mean and population std over all pixels."""
     stacked = np.concatenate([img.reshape(-1, img.shape[2]) for img in images], axis=0)

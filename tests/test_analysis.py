@@ -4,8 +4,10 @@ from pytest import approx
 
 from datamoll.analysis import (
     CORRUPTION_KINDS,
+    _pixel_blocks,
     annulus_means,
     corrupt,
+    corruption_cell,
     exp_decay_fit,
     info_curve,
     pearson,
@@ -17,6 +19,7 @@ from datamoll.schedules import ScheduleConfig
 from datamoll.streams import stream
 from datamoll.synth import fractal_textures
 from datamoll.tensors import ChannelStats, compute_channel_stats, standardize
+from tests.oracles import naive_pixelate
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +33,11 @@ def texture_split():
 class TestCorrupt:
     def test_severity_contract(self):
         img = np.zeros((8, 8, 1))
-        for bad in (0, 6, -1, 2.5):
+        for bad in (0, 6, -1, 2.5, True, False, np.True_):
             with pytest.raises(ValueError):
                 corrupt(img, "gauss_blur", bad)
+            with pytest.raises(ValueError):
+                corrupt(img, "contrast", bad)
         with pytest.raises(ValueError):
             corrupt(img, "fog", 3)
 
@@ -54,6 +59,17 @@ class TestCorrupt:
         out = corrupt(img, "pixelate", 1)  # block 2
         assert out[:2, :2, 0] == approx(np.full((2, 2), img[:2, :2, 0].mean()))
 
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (16, 16, 3), (13, 7, 2), (1, 1, 1), (2, 9, 1)])
+    def test_pixelate_equals_the_block_loop_exactly(self, shape):
+        img = np.random.default_rng(5).standard_normal(shape) * 3.0 + 0.7
+        for severity, block in zip(range(1, 6), (2, 3, 4, 5, 6)):
+            assert np.array_equal(corrupt(img, "pixelate", severity), naive_pixelate(img, block))
+
+    def test_cached_pixel_blocks_are_read_only(self):
+        for idx in _pixel_blocks(13, 7, 4):
+            with pytest.raises(ValueError):
+                idx[0, 0] = 0
+
     def test_gauss_noise_needs_rng_and_is_seeded(self):
         img = np.zeros((4, 4, 1))
         with pytest.raises(ValueError):
@@ -72,6 +88,34 @@ class TestCorrupt:
         for kind in CORRUPTION_KINDS:
             out = corrupt(img, kind, 3, stream(0))
             assert out.shape == img.shape
+
+
+class TestCorruptionCell:
+    def test_stack_and_list_give_the_same_cell(self):
+        stack = np.random.default_rng(6).standard_normal((5, 8, 7, 2))
+        for kind in CORRUPTION_KINDS:
+            a = corruption_cell(stack, kind, 3, seed=1)
+            b = corruption_cell(list(stack), kind, 3, seed=1)
+            assert a.shape == stack.shape
+            assert np.array_equal(a, b)
+
+    def test_ragged_images_are_a_data_error(self):
+        images = [np.zeros((8, 8, 1)), np.zeros((8, 7, 1))]
+        with pytest.raises(DataError, match=r"one \(H, W, C\) shape"):
+            corruption_cell(images, "pixelate", 2, seed=0)
+
+    def test_three_d_stack_names_its_shape(self):
+        with pytest.raises(DataError, match=r"\(4, 8, 8\)"):
+            corruption_cell(np.zeros((4, 8, 8)), "contrast", 2, seed=0)
+
+    def test_empty_stack_gives_an_empty_stack(self):
+        for kind in CORRUPTION_KINDS:
+            out = corruption_cell(np.zeros((0, 8, 6, 3)), kind, 4, seed=0)
+            assert out.shape == (0, 8, 6, 3) and out.dtype == np.float64
+
+    def test_bad_severity_is_rejected_before_any_image(self):
+        with pytest.raises(ValueError):
+            corruption_cell(np.zeros((0, 8, 6, 3)), "pixelate", True, seed=0)
 
 
 class TestInfoCurve:

@@ -6,6 +6,7 @@ from pytest import approx
 
 from datamoll.errors import DataError
 from datamoll.mollifier import (
+    _heat_rates,
     blur_image,
     heat_blur,
     heat_multipliers,
@@ -15,6 +16,7 @@ from datamoll.mollifier import (
 from datamoll.schedules import ScheduleConfig, gamma_blur, gamma_noise
 from datamoll.streams import stream
 from datamoll.tensors import dct2d
+from tests.oracles import closed_form_heat_multipliers
 
 
 @pytest.fixture
@@ -102,6 +104,21 @@ class TestBlur:
         mult = heat_multipliers(16, 16, 2.0)
         assert mult[0, 0] == 1.0
         assert np.all(mult <= 1.0) and np.all(mult > 0.0)
+
+    def test_multipliers_equal_the_closed_form_exactly(self):
+        taus = [0.0, 1e-3, 0.125, 0.5, 2.0, 7.3, 32.0, 1e4]
+        for h, w in [(16, 16), (13, 7), (1, 1), (2, 9), (32, 32)]:
+            for tau in taus:
+                expected = closed_form_heat_multipliers(h, w, tau)
+                assert np.array_equal(heat_multipliers(h, w, tau), expected)
+
+    def test_cached_rates_are_read_only(self):
+        rates = _heat_rates(8, 6)
+        with pytest.raises(ValueError):
+            rates[0, 0] = 1.0
+        mult = heat_multipliers(8, 6, 0.5)
+        mult[:] = 0.0  # a fresh, writable array: the cache is untouched
+        assert np.array_equal(heat_multipliers(8, 6, 0.5), closed_form_heat_multipliers(8, 6, 0.5))
 
     def test_non_square_supported(self, cfg):
         img = np.random.default_rng(10).standard_normal((8, 16, 1))
