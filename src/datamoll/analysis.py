@@ -23,7 +23,7 @@ from .mollifier import blur_image, heat_blur
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma
 from .streams import stream
-from .tensors import ChannelStats, dct2d, destandardize, ensure_image
+from .tensors import ChannelStats, dct2d, destandardize, ensure_image, ensure_stack
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
 
@@ -115,12 +115,7 @@ def corruption_cell(
     if kind not in CORRUPTION_KINDS:
         raise ValueError(f"unknown corruption kind {kind!r}; expected one of {CORRUPTION_KINDS}")
     _severity_index(severity)
-    try:
-        stack = np.asarray(images, dtype=np.float64)
-    except ValueError:
-        raise DataError("images must share one (H, W, C) shape") from None
-    if stack.ndim != 4:
-        raise DataError(f"images must have shape (N, H, W, C), got {stack.shape}")
+    stack = ensure_stack(images)
     rng = stream(seed, CORRUPTION_KINDS.index(kind), severity)
     out = np.empty_like(stack)
     for i, img in enumerate(stack):
@@ -188,31 +183,18 @@ def info_curve(
     return points
 
 
-@dataclass(frozen=True)
-class SpectralDelta:
-    """Mean absolute DCT-coefficient change caused by a corruption."""
+def spectral_delta(clean: Sequence[np.ndarray], corrupted: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean |DCT(corrupted) - DCT(clean)| over images and channels.
 
-    grid: np.ndarray  # (H, W), channel-averaged, all entries >= 0
-    tag: str = ""
-
-
-def spectral_delta(
-    clean: Sequence[np.ndarray], corrupted: Sequence[np.ndarray], tag: str = ""
-) -> SpectralDelta:
-    """Elementwise mean |DCT(corrupted) - DCT(clean)| over images and channels."""
-    if len(clean) == 0 or len(clean) != len(corrupted):
-        raise DataError(
-            f"need equal-length non-empty sequences, got {len(clean)} and {len(corrupted)}"
-        )
-    first = ensure_image(clean[0])
-    acc = np.zeros(first.shape[:2])
-    for i, (a, b) in enumerate(zip(clean, corrupted)):
-        a = ensure_image(a)
-        b = ensure_image(b)
-        if a.shape != first.shape or b.shape != first.shape:
-            raise DataError(f"image {i} shape mismatch: {a.shape} vs {b.shape}")
+    Returns the (H, W) grid of the mean absolute change per DCT coefficient.
+    """
+    clean, corrupted = ensure_stack(clean), ensure_stack(corrupted)
+    if len(clean) == 0 or clean.shape != corrupted.shape:
+        raise DataError(f"need equal non-empty stacks, got {clean.shape} and {corrupted.shape}")
+    acc = np.zeros(clean.shape[1:3])
+    for a, b in zip(clean, corrupted):
         acc += np.abs(dct2d(b) - dct2d(a)).mean(axis=2)
-    return SpectralDelta(grid=acc / len(clean), tag=tag)
+    return acc / len(clean)
 
 
 def radial_frequencies(height: int, width: int) -> np.ndarray:

@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import write_text
+from .ioutil import write_csv, write_text
 from .metrics import evaluate, format_report_table, write_records_csv
 from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
@@ -301,19 +300,22 @@ def start_run(ns: argparse.Namespace) -> Run:
     return run
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text(path, buf.getvalue())
-
-
 # ---------------------------------------------------------------- ingest
+
+
+def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
+    """The positive integers under ``keys`` in the JSON object of ``shape_file``."""
+    try:
+        shape = json.loads(shape_file.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{shape_file} is not JSON: {exc}") from None
+    if not isinstance(shape, dict):
+        raise DataError(f"{shape_file} must hold a JSON object, got {type(shape).__name__}")
+    values = [shape.get(key) for key in keys]
+    for key, value in zip(keys, values):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise DataError(f"{shape_file}: {key!r} must be a positive integer, got {value!r}")
+    return values
 
 
 def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -323,14 +325,15 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"missing {labels_file}")
     labels_by_name: dict[str, int] = {}
     with open(labels_file, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "filename":
                 continue
             if len(row) < 2:
                 raise DataError(f"malformed labels row {row!r} in {labels_file}")
-            labels_by_name[row[0].strip()] = int(row[1])
-    shape_file = src / "shape.json"
-    shape = json.loads(shape_file.read_text()) if shape_file.exists() else None
+            try:
+                labels_by_name[row[0].strip()] = int(row[1])
+            except ValueError:
+                raise DataError(f"{labels_file} row {line}: bad label {row[1]!r}") from None
 
     names = sorted(
         p.name for p in src.iterdir() if p.suffix in (".csv", ".raw") and p.name != "labels.csv"
@@ -343,26 +346,31 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
     orphans = [n for n in labels_by_name if n not in names]
     if orphans:
         raise DataError(f"labels without images: {', '.join(sorted(orphans))}")
+    shape_file = src / "shape.json"
+    raw_names = [n for n in names if n.endswith(".raw")]
+    if raw_names and not shape_file.exists():
+        raise DataError(f"{raw_names[0]} is raw 8-bit data but {shape_file} is missing")
+    channels = 1
+    if raw_names:
+        height, width, channels = _read_shape(shape_file, ("height", "width", "channels"))
+    elif shape_file.exists():
+        (channels,) = _read_shape(shape_file, ("channels",))
 
     images, labels, bad = [], [], []
     for name in names:
         path = src / name
         if path.suffix == ".csv":
             grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-            channels = int(shape["channels"]) if shape else 1
             if grid.shape[1] % channels:
                 bad.append(name)
                 continue
             arr = grid.reshape(grid.shape[0], grid.shape[1] // channels, channels)
         else:
-            if shape is None:
-                raise DataError(f"{name} is raw 8-bit data but {src}/shape.json is missing")
             arr = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-            h, w, c = int(shape["height"]), int(shape["width"]), int(shape["channels"])
-            if arr.size != h * w * c:
+            if arr.size != height * width * channels:
                 bad.append(name)
                 continue
-            arr = arr.reshape(h, w, c).astype(np.int64)
+            arr = arr.reshape(height, width, channels).astype(np.int64)
         if np.any(arr < 0) or np.any(arr > 255):
             bad.append(name)
             continue
@@ -415,11 +423,11 @@ def cmd_schedule_dump(ns: argparse.Namespace, run: Run) -> int:
         sig_b = blur_sigma(t, schedule)
         values = [t, alpha, sigma, snr(t), gamma_noise(t, schedule.k_noise)]
         values += [sig_b, dissipation_time(sig_b), gamma_blur(t, schedule.k_blur)]
-        rows.append([_float_cell(v) for v in values])
-    _write_csv(
+        rows.append(values)
+    write_csv(
         run.out / "schedules.csv",
         ["t", "alpha", "sigma", "snr", "gamma_noise", "sigma_b", "tau", "gamma_blur"],
-        rows,
+        list(zip(*rows)),
     )
     return 0
 
@@ -439,11 +447,11 @@ def cmd_mollify(ns: argparse.Namespace, run: Run) -> int:
         provenance=f"mollify:{run.config_hash}",
     )
     save_mol1(mollified, run.out / "mollified.mol1")
-    rows = [
-        [str(i), mode, _float_cell(t), _float_cell(gamma)]
-        for i, (mode, t, gamma) in enumerate(zip(samples.mode, samples.t, samples.gamma))
-    ]
-    _write_csv(run.out / "mollify.csv", ["index", "mode", "t", "gamma"], rows)
+    write_csv(
+        run.out / "mollify.csv",
+        ["index", "mode", "t", "gamma"],
+        [np.arange(len(samples)), samples.mode, samples.t, samples.gamma],
+    )
     return 0
 
 
@@ -454,7 +462,11 @@ def cmd_train(ns: argparse.Namespace, run: Run) -> int:
     """train the desk-scale classifier"""
     params, report = train(run.dataset, run.train)
     save_params(params, run.out / "params.bin", run.train.seed, run.config_hash)
-    write_text(run.out / "train_report.csv", report.to_csv())
+    write_csv(
+        run.out / "train_report.csv",
+        ["epoch", "loss", "lr", "seconds"],
+        list(zip(*map(astuple, report.epochs))),
+    )
     print(f"trained {run.train.epochs} epochs; final loss {report.epochs[-1].mean_loss:.6f}")
     return 0
 
@@ -494,10 +506,11 @@ def cmd_infocurve(ns: argparse.Namespace, run: Run) -> int:
     """PNG compression ratios over blur temperatures"""
     dataset = run.dataset
     points = info_curve(dataset.images, dataset.stats, run.schedule, run.t_grid)
-    rows = [
-        [_float_cell(p.t), _float_cell(p.sigma_b), _float_cell(p.mean_ratio)] for p in points
-    ]
-    _write_csv(run.out / "infocurve.csv", ["t", "sigma_b", "mean_ratio"], rows)
+    write_csv(
+        run.out / "infocurve.csv",
+        ["t", "sigma_b", "mean_ratio"],
+        list(zip(*map(astuple, points))),
+    )
     return 0
 
 
@@ -507,23 +520,17 @@ def cmd_infocurve(ns: argparse.Namespace, run: Run) -> int:
 def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
     """mean DCT change per corruption kind"""
     images = run.dataset.images
-    annuli_rows = []
+    annuli = []
     for kind in CORRUPTION_KINDS:
         corrupted = corruption_cell(images, kind, _SPECTRA_SEVERITY, run.cfg["seed"])
-        delta = spectral_delta(images, corrupted, tag=kind)
-        grid_rows = [[_float_cell(v) for v in row] for row in delta.grid]
-        _write_csv(
-            run.out / f"spectral_{kind}.csv",
-            [f"w{j}" for j in range(delta.grid.shape[1])],
-            grid_rows,
-        )
-        centers, means = annulus_means(delta.grid)
-        for b, (center, mean) in enumerate(zip(centers, means)):
-            annuli_rows.append([kind, str(b), _float_cell(center), _float_cell(mean)])
-    _write_csv(
+        grid = spectral_delta(images, corrupted)
+        write_csv(run.out / f"spectral_{kind}.csv", [f"w{j}" for j in range(grid.shape[1])], grid.T)
+        centers, means = annulus_means(grid)
+        annuli.append(([kind] * len(centers), np.arange(len(centers)), centers, means))
+    write_csv(
         run.out / "spectra_annuli.csv",
         ["kind", "band", "center", "mean_delta"],
-        annuli_rows,
+        [np.concatenate(column) for column in zip(*annuli)],
     )
     return 0
 

@@ -13,14 +13,13 @@ then averages |accuracy - confidence| over bins weighted by occupancy.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ioutil import write_text
+from .ioutil import write_csv
 
 NLL_FLOOR = 1e-12
 
@@ -160,31 +159,12 @@ def format_report_table(report: EvalReport, title: str = "overall") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one field of a csv row with more than one field."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
 def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
-    """CSV with header index,tag,true_class,p0,...,p{C-1}, formatted column by column.
-
-    The bytes are those of ``csv.writer``: a tag is quoted only where it must
-    be, and a probability is written as its repr, so it round-trips exactly.
-    """
+    """CSV with header index,tag,true_class,p0,...,p{C-1}, one row per record."""
     _require_records(preds)
     probs = preds["probs"]
-    names, which = np.unique(preds["tag"], return_inverse=True)
-    tags = [_csv_field(str(name)) for name in names]
-    columns = [
-        map(str, range(len(preds))),
-        map(tags.__getitem__, which.tolist()),
-        map(str, preds["true_class"].tolist()),
-        *(map(repr, column) for column in probs.T.tolist()),
-    ]
     header = ["index", "tag", "true_class"] + [f"p{i}" for i in range(probs.shape[1])]
-    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+    write_csv(path, header, [np.arange(len(preds)), preds["tag"], preds["true_class"], *probs.T])
 
 
 def read_records_csv(path: str | Path) -> np.recarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .ioutil import write_bytes, write_text
-from .tensors import ChannelStats
+from .tensors import ChannelStats, ensure_stack
 
 MAGIC = b"MOL1"
 _HEADER = struct.Struct("<5I")
@@ -36,10 +36,8 @@ class Mol1Dataset:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        images = np.asarray(self.images, dtype=np.float64)
+        images = ensure_stack(self.images)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if images.ndim != 4:
-            raise DataError(f"images must have shape (N, H, W, C), got {images.shape}")
         if labels.shape != (images.shape[0],):
             raise DataError(
                 f"labels shape {labels.shape} does not match {images.shape[0]} images"
@@ -50,8 +48,6 @@ class Mol1Dataset:
             raise DataError("num_classes must be at least 2")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.num_classes:
             raise DataError("labels must lie in [0, num_classes)")
-        if not np.all(np.isfinite(images)):
-            raise DataError("images contain non-finite values")
         if images.shape[3] != self.stats.channels:
             raise DataError("channel statistics do not match the image channel count")
         self.images = images

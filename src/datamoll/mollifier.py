@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
 from .schedules import (
     ScheduleConfig,
     alpha_sigma,
@@ -29,7 +28,7 @@ from .schedules import (
     sample_temperature,
 )
 from .streams import derive_seed, stream
-from .tensors import dct2d, ensure_image, idct2d
+from .tensors import dct2d, ensure_image, ensure_stack, idct2d
 
 
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
@@ -89,12 +88,7 @@ def mollify_batch(
     ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
     reproduces the stored image.
     """
-    try:
-        stack = np.asarray(imgs, dtype=np.float64)
-    except ValueError:
-        raise DataError("images must share one (H, W, C) shape") from None
-    if stack.ndim != 4:
-        raise DataError(f"images must have shape (B, H, W, C), got {stack.shape}")
+    stack = ensure_stack(imgs)
     n = stack.shape[0]
     images = np.empty_like(stack)
     gammas = np.zeros(n)

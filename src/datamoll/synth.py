@@ -21,20 +21,18 @@ from .streams import stream
 from .tensors import compute_channel_stats, idct2d
 
 
-def fractal_textures(
-    count: int,
-    height: int = 32,
-    width: int = 32,
-    seed: int = 0,
-    exponent: float = 1.0,
-) -> np.ndarray:
-    """(N, H, W, 1) grayscale textures with a 1/f^exponent amplitude spectrum."""
+# The amplitude spectrum of fractal textures falls off as 1/f^_FRACTAL_EXPONENT.
+_FRACTAL_EXPONENT = 1.0
+
+
+def fractal_textures(count: int, height: int = 32, width: int = 32, seed: int = 0) -> np.ndarray:
+    """(N, H, W, 1) grayscale textures with a 1/f amplitude spectrum."""
     rng = stream(seed)
     fh = np.arange(height) / height
     fw = np.arange(width) / width
     radius = np.sqrt(fh[:, None] ** 2 + fw[None, :] ** 2)
     floor = 1.0 / max(height, width)
-    amplitude = (radius + floor) ** (-exponent)
+    amplitude = (radius + floor) ** (-_FRACTAL_EXPONENT)
     amplitude[0, 0] = 0.0  # no DC component; brightness is set afterwards
     images = np.empty((count, height, width, 1))
     for i in range(count):
@@ -50,13 +48,15 @@ def fractal_textures(
 # Amplitude and cycles-per-image range of each oriented component: five
 # octaves with a roughly 1/f amplitude profile, so class information dies
 # off gradually (scale by scale) under blurring or pixelation.
-DEFAULT_TEXTURE_COMPONENTS = (
+_TEXTURE_COMPONENTS = (
     (0.18, (6.2, 7.2)),
     (0.13, (4.3, 5.1)),
     (0.10, (3.0, 3.6)),
     (0.075, (2.1, 2.5)),
     (0.06, (1.4, 1.8)),
 )
+# Standard deviation of the Gaussian pixel noise added to every texture.
+_PIXEL_NOISE = 0.02
 
 
 def grating_dataset(
@@ -65,10 +65,6 @@ def grating_dataset(
     width: int = 16,
     num_classes: int = 4,
     seed: int = 0,
-    components=DEFAULT_TEXTURE_COMPONENTS,
-    brightness: float = 0.0,
-    class_brightness: float = 0.0,
-    noise_level: float = 0.02,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-scale oriented-texture images; class c has orientation c*pi/C.
 
@@ -77,11 +73,8 @@ def grating_dataset(
     an orientation wobble, and mild pixel noise.  Fine scales carry most
     of the contrast but die first under blurring or pixelation; coarser
     scales survive longer, so class information degrades gradually with
-    corruption strength instead of all at once.
-
-    Optionally, mean brightness can act as an extra weak class cue (offset
-    ``class_brightness`` per class, uniform jitter ``brightness``); both
-    default to off.
+    corruption strength instead of all at once.  Mean brightness is 0.5
+    for every image and carries no class cue.
     """
     rng = stream(seed)
     rows = np.arange(height)[:, None]
@@ -97,13 +90,9 @@ def grating_dataset(
 
     for i in range(count):
         theta = math.pi * labels[i] / num_classes + rng.uniform(-1, 1) * (math.pi / 24)
-        level = (
-            0.5
-            + (labels[i] - (num_classes - 1) / 2.0) * class_brightness
-            + rng.uniform(-brightness, brightness)
-        )
-        pixel = level + noise_level * rng.standard_normal((height, width))
-        for amp, cycles in components:
+        rng.random()  # a brightness jitter of width 0, drawn to keep the stream's layout
+        pixel = 0.5 + _PIXEL_NOISE * rng.standard_normal((height, width))
+        for amp, cycles in _TEXTURE_COMPONENTS:
             pixel = pixel + amp * rng.uniform(0.8, 1.2) * wave(theta, cycles)
         images[i, :, :, 0] = np.clip(pixel, 0.0, 1.0)
     return images, labels.astype(np.int64)

@@ -36,6 +36,23 @@ def ensure_image(img: np.ndarray) -> np.ndarray:
     return arr
 
 
+def ensure_stack(images: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Validate and return ``images`` as a float64 (N, H, W, C) stack.
+
+    ``images`` is such a stack or a sequence of equal-shape (H, W, C)
+    images.  N may be 0; H, W and C may not, and every value must be finite.
+    """
+    try:
+        stack = np.asarray(images, dtype=np.float64)
+    except ValueError:
+        raise DataError("images must share one (H, W, C) shape") from None
+    if stack.ndim != 4 or min(stack.shape[1:]) < 1:
+        raise DataError(f"images must form an (N, H, W, C) stack, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise DataError("images contain non-finite values")
+    return stack
+
+
 @dataclass(frozen=True)
 class ChannelStats:
     """Per-channel mean and strictly positive standard deviation."""
@@ -71,14 +88,7 @@ def compute_channel_stats(dataset: Sequence[np.ndarray] | np.ndarray) -> Channel
     """
     if len(dataset) == 0:
         raise DataError("cannot compute channel statistics of an empty dataset")
-    try:
-        images = np.asarray(dataset, dtype=np.float64)
-    except ValueError:
-        raise DataError("images must all have one (H, W, C) shape") from None
-    if images.ndim != 4 or min(images.shape) < 1:
-        raise DataError(f"images must form an (N, H, W, C) stack, got shape {images.shape}")
-    if not np.all(np.isfinite(images)):
-        raise DataError("images contain non-finite values")
+    images = ensure_stack(dataset)
     count = images.size // images.shape[3]
     mean = np.cumsum(images.sum(axis=(1, 2)), axis=0)[-1] / count
     sq = np.cumsum(((images - mean) ** 2).sum(axis=(1, 2)), axis=0)[-1]

@@ -91,12 +91,6 @@ class TrainReport:
 
     epochs: list[EpochStats] = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        lines = ["epoch,loss,lr,seconds"]
-        for row in self.epochs:
-            lines.append(f"{row.epoch},{row.mean_loss!r},{row.lr!r},{row.seconds!r}")
-        return "\n".join(lines) + "\n"
-
 
 def init_params(input_dim: int, hidden: int, classes: int, seed: int) -> MlpParams:
     """He fan-in initialization for the weights, zeros for the biases."""

@@ -269,11 +269,11 @@ def test_criterion_09_spectral_corruption_signatures():
     clean = [standardize(img, stats) for img in raw]
     rng = stream(17)
     noisy = [corrupt(img, "gauss_noise", 3, rng) for img in clean]
-    _, noise_means = annulus_means(spectral_delta(clean, noisy).grid)
+    _, noise_means = annulus_means(spectral_delta(clean, noisy))
     noise_cov = float(noise_means.std() / noise_means.mean())
     assert noise_cov < 0.3
     blurred = [corrupt(img, "gauss_blur", 3) for img in clean]
-    centers, blur_means = annulus_means(spectral_delta(clean, blurred).grid)
+    centers, blur_means = annulus_means(spectral_delta(clean, blurred))
     half = len(centers) // 2
     rate, r2 = exp_decay_fit(centers[half:], blur_means[half:])
     assert rate < 0.0

@@ -105,6 +105,58 @@ class TestIngest:
         (src / "labels.csv").write_text("a.csv,0\nb.csv,1\n")
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
 
+    @pytest.mark.parametrize(
+        "image, shape, named",
+        [
+            ("a.csv", '{"height": 2}', "'channels'"),
+            ("a.csv", "[1, 2]", "JSON object"),
+            ("a.csv", '{"channels": "1"}', "'channels'"),
+            ("a.csv", '{"channels": true}', "'channels'"),
+            ("a.csv", '{"channels": 0}', "'channels'"),
+            ("a.csv", "{height", "not JSON"),
+            ("a.raw", '{"height": 2, "channels": 1}', "'width'"),
+            ("a.raw", '{"height": 2, "width": 2.5, "channels": 1}', "'width'"),
+        ],
+    )
+    def test_bad_shape_json_is_a_data_error_naming_file_and_key(
+        self, tmp_path, capsys, image, shape, named
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        if image.endswith(".csv"):
+            np.savetxt(src / image, np.zeros((2, 2), dtype=int), fmt="%d", delimiter=",")
+        else:
+            (src / image).write_bytes(bytes(4))
+        (src / "labels.csv").write_text(f"{image},0\n")
+        (src / "shape.json").write_text(shape)
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        err = capsys.readouterr().err
+        assert "shape.json" in err and named in err
+
+    def test_label_that_is_not_an_integer_names_file_and_row(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        for name in ("a.csv", "b.csv"):
+            np.savetxt(src / name, np.zeros((2, 2), dtype=int), fmt="%d", delimiter=",")
+        (src / "labels.csv").write_text("filename,label\na.csv,0\nb.csv,x\n")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        err = capsys.readouterr().err
+        assert "labels.csv row 3: bad label 'x'" in err
+
+    def test_raw_images_with_shape_json_ingest(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        pixels = np.arange(2 * 3 * 2 * 3, dtype=np.uint8).reshape(2, 3, 2, 3)
+        for i in range(2):
+            (src / f"img{i}.raw").write_bytes(pixels[i].tobytes())
+        (src / "labels.csv").write_text("img0.raw,0\nimg1.raw,1\n")
+        (src / "shape.json").write_text('{"height": 3, "width": 2, "channels": 3}')
+        out = tmp_path / "out.mol1"
+        assert main(["ingest", str(src), "--out", str(out)]) == 0
+        ds = load_mol1(out)
+        raw = np.round((ds.images * ds.stats.std + ds.stats.mean) * 255.0)
+        assert np.array_equal(raw, pixels)
+
     @pytest.mark.parametrize("flag", ["--seed", "--config"])
     def test_settings_flags_are_usage_errors(self, dataset_path, tmp_path, flag):
         # ingest reads no setting, so it takes neither flag
@@ -279,6 +331,34 @@ class TestInfocurveAndSpectra:
         header, rows = read_csv(out / "spectra_annuli.csv")
         assert header == ["kind", "band", "center", "mean_delta"]
         assert len(rows) == 4 * 8
+
+
+class TestRerun:
+    def run_all(self, dataset_path, out):
+        data, seed = ["--dataset", str(dataset_path)], ["--seed", "4"]
+        commands = [
+            ["schedule-dump", "--out", str(out / "sd"), "--t-steps", "5"],
+            ["mollify", *data, "--out", str(out / "mo"), *seed],
+            ["train", *data, "--out", str(out / "tr"), *seed, "--epochs", "2"],
+            ["eval", str(out / "tr" / "params.bin"), *data, "--out", str(out / "ev"), *seed,
+             "--corruptions", "true"],
+            ["infocurve", *data, "--out", str(out / "ic"), "--t-steps", "4"],
+            ["spectra", *data, "--out", str(out / "sp"), *seed],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+        report = out / "tr" / "train_report.csv"
+        header, rows = read_csv(report)
+        assert header[-1] == "seconds"
+        report.write_text("".join(",".join(row[:-1]) + "\n" for row in rows))
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_every_output_file_is_byte_identical(self, dataset_path, tmp_path):
+        first = self.run_all(dataset_path, tmp_path / "a")
+        second = self.run_all(dataset_path, tmp_path / "b")
+        assert len(first) == 21
+        assert first.keys() == second.keys()
+        assert [name for name in first if first[name] != second[name]] == []
 
 
 def _run_json(out):

@@ -1,0 +1,52 @@
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from datamoll.ioutil import write_csv
+
+TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
+INTS = list(range(-3, len(TEXTS) - 3))
+FLOATS = [0.1, float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 1 / 3, 12345678901234567.0]
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "arrays"])
+def test_bytes_are_those_of_csv_writer(tmp_path, as_arrays):
+    columns = [TEXTS, INTS, FLOATS]
+    if as_arrays:
+        columns = [np.array(column) for column in columns]
+    header = ["text", "a,b", "float"]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == csv_writer_bytes(header, zip(TEXTS, INTS, FLOATS))
+
+
+def test_one_column_quotes_an_empty_field_as_csv_writer_does(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["only"], [TEXTS])
+    assert path.read_bytes() == csv_writer_bytes(["only"], [[text] for text in TEXTS])
+
+
+def test_zero_rows_give_the_header_alone(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[], np.zeros(0)])
+    assert path.read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize(
+    "columns", [[[1, 2], [3]], [[1, 2]], [[1], [2], [3]]], ids=["ragged", "too few", "too many"]
+)
+def test_columns_must_match_the_header_and_each_other(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], columns)
+    assert not path.exists()

@@ -207,3 +207,20 @@ class TestMollifyBatch:
     def test_rejects_input_that_is_not_a_stack(self, cfg, imgs):
         with pytest.raises(DataError):
             mollify_batch(imgs, cfg, seed=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rejects_a_non_finite_pixel_whatever_mode_it_draws(self, cfg, seed):
+        imgs = np.zeros((8, 4, 4, 1))
+        imgs[3, 1, 2, 0] = np.nan  # seeds 2 and 3 draw mode none for image 3
+        with pytest.raises(DataError):
+            mollify_batch(imgs, cfg, seed)
+
+    @pytest.mark.parametrize(
+        "imgs",
+        [np.zeros((2, 0, 4, 1)), np.full((2, 4, 4, 1), np.inf)],
+        ids=["empty axis", "non-finite"],
+    )
+    def test_forced_none_validates_the_stack(self, imgs):
+        cfg = ScheduleConfig(sigma_max=16.0, mode_probs=(1.0, 0.0, 0.0))
+        with pytest.raises(DataError):
+            mollify_batch(imgs, cfg, seed=0)
