@@ -34,6 +34,7 @@ from .analysis import (
     corruption_cell,
     corruption_grid,
     info_curve,
+    quantize_for_png,
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
@@ -209,6 +210,17 @@ def _check_config(value, default, path: str) -> None:
             raise DataError(f"config key {path!r} must be finite, got {value!r}")
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in ``path``; other content is a DataError naming the file."""
+    try:
+        value = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise DataError(f"{path} must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
 def effective_config(ns: argparse.Namespace) -> dict:
     """The keys ``ns.command`` reads: defaults, overlaid by the config file, then by flags."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
@@ -216,9 +228,7 @@ def effective_config(ns: argparse.Namespace) -> dict:
         path = Path(ns.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
-        loaded = json.loads(path.read_text())
-        if not isinstance(loaded, dict):
-            raise DataError(f"config file {path} must contain a JSON object")
+        loaded = _read_json_object(path)
         _check_config(loaded, _DEFAULTS, "")
         cfg = _merge(cfg, loaded)
     cfg = {key: cfg[key] for key in _READS[ns.command]}
@@ -305,12 +315,7 @@ def start_run(ns: argparse.Namespace) -> Run:
 
 def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
     """The positive integers under ``keys`` in the JSON object of ``shape_file``."""
-    try:
-        shape = json.loads(shape_file.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{shape_file} is not JSON: {exc}") from None
-    if not isinstance(shape, dict):
-        raise DataError(f"{shape_file} must hold a JSON object, got {type(shape).__name__}")
+    shape = _read_json_object(shape_file)
     values = [shape.get(key) for key in keys]
     for key, value in zip(keys, values):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -318,23 +323,49 @@ def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
     return values
 
 
-def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read 8-bit images (.csv pixel grids or .raw blobs) plus labels.csv."""
-    labels_file = src / "labels.csv"
+def _read_labels(labels_file: Path) -> dict[str, int]:
+    """File name -> class from labels.csv, which may have a header row."""
     if not labels_file.exists():
         raise DataError(f"missing {labels_file}")
-    labels_by_name: dict[str, int] = {}
+    labels: dict[str, int] = {}
     with open(labels_file, newline="") as fh:
         for line, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "filename":
                 continue
+            where = f"{labels_file} row {line}"
             if len(row) < 2:
-                raise DataError(f"malformed labels row {row!r} in {labels_file}")
+                raise DataError(f"{where}: malformed row {row!r}")
+            name = row[0].strip()
+            if name in labels:
+                raise DataError(f"{where}: {name} is listed twice")
             try:
-                labels_by_name[row[0].strip()] = int(row[1])
+                labels[name] = int(row[1])
             except ValueError:
-                raise DataError(f"{labels_file} row {line}: bad label {row[1]!r}") from None
+                raise DataError(f"{where}: bad label {row[1]!r}") from None
+            if labels[name] < 0:
+                raise DataError(f"{where}: label {labels[name]} is negative")
+    return labels
 
+
+def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """One 8-bit image as (H, W, C) int64: the bytes of a .raw image of ``shape``,
+    or a .csv grid with ``shape[-1]`` channels per pixel."""
+    try:
+        if path.suffix == ".csv":
+            grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            image = grid.reshape(grid.shape[0], -1, shape[-1])
+        else:
+            image = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(shape)
+    except ValueError as exc:
+        raise DataError(f"malformed image file {path}: {exc}") from None
+    if np.any(image < 0) or np.any(image > 255):
+        raise DataError(f"malformed image file {path}: pixels must lie in [0, 255]")
+    return image.astype(np.int64)
+
+
+def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read 8-bit images (.csv pixel grids or .raw blobs) plus labels.csv."""
+    labels_by_name = _read_labels(src / "labels.csv")
     names = sorted(
         p.name for p in src.iterdir() if p.suffix in (".csv", ".raw") and p.name != "labels.csv"
     )
@@ -350,38 +381,16 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
     raw_names = [n for n in names if n.endswith(".raw")]
     if raw_names and not shape_file.exists():
         raise DataError(f"{raw_names[0]} is raw 8-bit data but {shape_file} is missing")
-    channels = 1
+    shape = (1,)
     if raw_names:
-        height, width, channels = _read_shape(shape_file, ("height", "width", "channels"))
+        shape = tuple(_read_shape(shape_file, ("height", "width", "channels")))
     elif shape_file.exists():
-        (channels,) = _read_shape(shape_file, ("channels",))
-
-    images, labels, bad = [], [], []
-    for name in names:
-        path = src / name
-        if path.suffix == ".csv":
-            grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-            if grid.shape[1] % channels:
-                bad.append(name)
-                continue
-            arr = grid.reshape(grid.shape[0], grid.shape[1] // channels, channels)
-        else:
-            arr = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-            if arr.size != height * width * channels:
-                bad.append(name)
-                continue
-            arr = arr.reshape(height, width, channels).astype(np.int64)
-        if np.any(arr < 0) or np.any(arr > 255):
-            bad.append(name)
-            continue
-        images.append(arr)
-        labels.append(labels_by_name[name])
-    if bad:
-        raise DataError(f"malformed image files: {', '.join(bad)}")
+        shape = tuple(_read_shape(shape_file, ("channels",)))
+    images = [_read_image(src / name, shape) for name in names]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
         raise DataError(f"inconsistent image shapes: {sorted(shapes)}")
-    return np.stack(images), np.asarray(labels, dtype=np.int64)
+    return np.stack(images), np.asarray([labels_by_name[n] for n in names], dtype=np.int64)
 
 
 def cmd_ingest(ns: argparse.Namespace) -> int:
@@ -389,10 +398,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     if src.is_file():
         ds = load_mol1(src)
-        raw = np.clip(
-            ds.images * ds.stats.std + ds.stats.mean, 0.0, 1.0
-        )
-        pixels = np.round(raw * 255.0).astype(np.int64)
+        pixels = np.stack([quantize_for_png(img, ds.stats) for img in ds.images])
         labels = ds.labels
         num_classes = ds.num_classes
     elif src.is_dir():

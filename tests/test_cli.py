@@ -143,6 +143,28 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "labels.csv row 3: bad label 'x'" in err
 
+    @pytest.mark.parametrize(
+        "labels, pixels, named",
+        [
+            ("a.csv,0\nb.csv,0\na.csv,1\n", "0,0\n0,0\n", "labels.csv row 3: a.csv is listed twice"),
+            ("a.csv,-1\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label -1 is negative"),
+            ("a.csv,0\nb.csv,1\n", "0,x\n0,0\n", "a.csv"),
+        ],
+        ids=["duplicate-label", "negative-label", "non-integer-pixel"],
+    )
+    def test_bad_labels_and_pixels_name_file_and_row(
+        self, tmp_path, capsys, labels, pixels, named
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text(pixels)
+        (src / "b.csv").write_text("0,0\n0,0\n")
+        (src / "labels.csv").write_text(labels)
+        out = tmp_path / "x.mol1"
+        assert main(["ingest", str(src), "--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_raw_images_with_shape_json_ingest(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -561,6 +583,18 @@ class TestConfigSchema:
         code = main(argv + ["--dataset", str(dataset_path), "--out", str(out)])
         assert code == 3
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content", [b'{"seed": ', b"\xff\xfe"], ids=["truncated", "not-utf8"]
+    )
+    def test_config_that_is_not_json_names_the_file(self, dataset_path, tmp_path, capsys, content):
+        config = tmp_path / "c.json"
+        config.write_bytes(content)
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(config), "--dataset", str(dataset_path), "--out", str(out)]
+        assert main(argv) == 3
+        assert f"{config} is not JSON" in capsys.readouterr().err
         assert not out.exists()
 
     def test_floats_accept_ints_and_null_defaults_accept_values(self, tmp_path):
