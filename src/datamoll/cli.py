@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -213,7 +214,7 @@ def _check_config(value, default, path: str) -> None:
 def _read_json_object(path: Path) -> dict:
     """The JSON object in ``path``; other content is a DataError naming the file."""
     try:
-        value = json.loads(path.read_text())
+        value = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path} is not JSON: {exc}") from None
     if not isinstance(value, dict):
@@ -327,23 +328,30 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
     """File name -> class from labels.csv, which may have a header row."""
     if not labels_file.exists():
         raise DataError(f"missing {labels_file}")
+    raw = labels_file.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{labels_file} row {row}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     labels: dict[str, int] = {}
-    with open(labels_file, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().lower() == "filename":
-                continue
-            where = f"{labels_file} row {line}"
-            if len(row) < 2:
-                raise DataError(f"{where}: malformed row {row!r}")
-            name = row[0].strip()
-            if name in labels:
-                raise DataError(f"{where}: {name} is listed twice")
-            try:
-                labels[name] = int(row[1])
-            except ValueError:
-                raise DataError(f"{where}: bad label {row[1]!r}") from None
-            if labels[name] < 0:
-                raise DataError(f"{where}: label {labels[name]} is negative")
+    for line, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or row[0].strip().lower() == "filename":
+            continue
+        where = f"{labels_file} row {line}"
+        if len(row) < 2:
+            raise DataError(f"{where}: malformed row {row!r}")
+        name = row[0].strip()
+        if name in labels:
+            raise DataError(f"{where}: {name} is listed twice")
+        try:
+            labels[name] = int(row[1])
+        except ValueError:
+            raise DataError(f"{where}: bad label {row[1]!r}") from None
+        if labels[name] < 0:
+            raise DataError(f"{where}: label {labels[name]} is negative")
     return labels
 
 

@@ -170,7 +170,7 @@ def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
 def read_records_csv(path: str | Path) -> np.recarray:
     """Read a file written by :func:`write_records_csv`, validating every row."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             table = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not a prediction-record CSV: {exc}") from None

@@ -126,7 +126,7 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
     try:
-        manifest = json.loads(mpath.read_text())
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except ValueError:
         raise DataError(f"manifest {mpath} is not valid JSON") from None
     stats = ChannelStats(

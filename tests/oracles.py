@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 
 def naive_dct2(channel: np.ndarray) -> np.ndarray:
@@ -42,6 +43,62 @@ def naive_pixelate(img: np.ndarray, block: int) -> np.ndarray:
             j1 = min(j0 + block, w)
             out[i0:i1, j0:j1] = img[i0:i1, j0:j1].mean(axis=(0, 1))
     return out
+
+
+def fft_dct2d(img: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT along height then width through ``scipy.fft``."""
+    out = scipy.fft.dct(img, type=2, norm="ortho", axis=0)
+    return scipy.fft.dct(out, type=2, norm="ortho", axis=1)
+
+
+def fft_idct2d(grid: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`fft_dct2d`, width then height, through ``scipy.fft``."""
+    out = scipy.fft.idct(grid, type=2, norm="ortho", axis=1)
+    return scipy.fft.idct(out, type=2, norm="ortho", axis=0)
+
+
+def mean_pixelate(img: np.ndarray, block: int) -> np.ndarray:
+    """Block means by ``np.mean`` over each block's pixels, gathered row-major
+    and reduced together with the other blocks of the same shape."""
+    h, w, c = img.shape
+    flat = img.reshape(h * w, c)
+    out = np.empty_like(flat)
+    groups: dict[tuple[int, int], list[list[int]]] = {}
+    for i0 in range(0, h, block):
+        for j0 in range(0, w, block):
+            bh, bw = min(block, h - i0), min(block, w - j0)
+            pixels = [(i0 + i) * w + j0 + j for i in range(bh) for j in range(bw)]
+            groups.setdefault((bh, bw), []).append(pixels)
+    for blocks in groups.values():
+        idx = np.array(blocks)
+        out[idx] = flat[idx].mean(axis=1)[:, None, :]
+    return out.reshape(img.shape)
+
+
+def mean_contrast(img: np.ndarray, factor: float) -> np.ndarray:
+    """Scale each channel's deviations from its ``np.mean`` by ``factor``."""
+    mean = img.mean(axis=(0, 1))
+    return mean + factor * (img - mean)
+
+
+KERNEL_SHAPES = ((16, 16, 1), (32, 32, 1), (7, 5, 3), (13, 7, 2), (1, 1, 1))
+KERNEL_SCALES = (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300)
+
+
+def kernel_inputs():
+    """(label, image) pairs on which a kernel must match its oracle bit for bit.
+
+    Every shape in ``KERNEL_SHAPES`` at every pixel scale in ``KERNEL_SCALES``,
+    each as a C-ordered array, a Fortran-ordered copy and a strided view.
+    """
+    rng = np.random.default_rng(0)
+    for h, w, c in KERNEL_SHAPES:
+        for scale in KERNEL_SCALES:
+            img = (rng.standard_normal((h, w, c)) + 0.5) * scale
+            wide = (rng.standard_normal((2 * h, 3 * w, c + 1)) + 0.5) * scale
+            yield f"{h}x{w}x{c}@{scale:g}", img
+            yield f"{h}x{w}x{c}@{scale:g}/F", np.asfortranarray(img)
+            yield f"{h}x{w}x{c}@{scale:g}/strided", wide[::2, 1::3, :c]
 
 
 def closed_form_heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:

@@ -4,6 +4,8 @@ from pytest import approx
 
 from datamoll.analysis import (
     CORRUPTION_KINDS,
+    _CONTRAST_FACTORS,
+    _PIXELATE_BLOCKS,
     _pixel_blocks,
     annulus_means,
     corrupt,
@@ -19,7 +21,7 @@ from datamoll.schedules import ScheduleConfig
 from datamoll.streams import stream
 from datamoll.synth import fractal_textures
 from datamoll.tensors import ChannelStats, compute_channel_stats, standardize
-from tests.oracles import naive_pixelate
+from tests.oracles import kernel_inputs, mean_contrast, mean_pixelate, naive_pixelate
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,17 @@ class TestCorrupt:
         img = np.random.default_rng(5).standard_normal(shape) * 3.0 + 0.7
         for severity, block in zip(range(1, 6), (2, 3, 4, 5, 6)):
             assert np.array_equal(corrupt(img, "pixelate", severity), naive_pixelate(img, block))
+
+    def test_pixelate_and_contrast_equal_their_np_mean_forms_exactly(self):
+        for label, img in kernel_inputs():
+            for severity in range(1, 6):
+                block = _PIXELATE_BLOCKS[severity - 1]
+                factor = _CONTRAST_FACTORS[severity - 1]
+                out = corrupt(img, "pixelate", severity)
+                assert np.isfinite(out).all(), label
+                assert np.array_equal(out, mean_pixelate(img, block)), label
+                contrast = corrupt(img, "contrast", severity)
+                assert np.array_equal(contrast, mean_contrast(img, factor)), label
 
     def test_cached_pixel_blocks_are_read_only(self):
         for idx in _pixel_blocks(13, 7, 4):

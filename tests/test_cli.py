@@ -143,6 +143,14 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "labels.csv row 3: bad label 'x'" in err
 
+    def test_labels_that_are_not_utf8_name_file_and_row(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("0,0\n0,0\n")
+        (src / "labels.csv").write_bytes(b"a.csv,0\n\xff\n")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        assert "labels.csv row 2: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "labels, pixels, named",
         [
@@ -743,3 +751,61 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"datamoll {datamoll.__version__}"
+
+
+# Reads each kind of text file datamoll writes or takes in, with non-ASCII
+# content, in a process whose locale encoding is ASCII.
+_UTF8_SCRIPT = r"""
+import json, sys
+from pathlib import Path
+import numpy as np
+from datamoll.cli import main
+from datamoll.metrics import predictions, read_records_csv, write_records_csv
+from datamoll.mol1 import load_mol1, manifest_path, save_mol1
+from datamoll.synth import grating_dataset, standardized_dataset
+
+root = Path(sys.argv[1])
+tag = "bruit-\u00e9"
+preds = predictions(np.full((1, 2), 0.5), np.array([1]), np.array([tag]))
+write_records_csv(preds, root / "rec.csv")
+assert read_records_csv(root / "rec.csv").tag[0] == tag
+
+src = root / "src"
+src.mkdir()
+(src / "img0.raw").write_bytes(bytes(4))
+(src / "img1.raw").write_bytes(bytes([255]) * 4)
+(src / "labels.csv").write_bytes("filename,\u00e9tiquette\nimg0.raw,0\nimg1.raw,1\n".encode())
+shape = {"height": 2, "width": 2, "channels": 1, "note": tag}
+(src / "shape.json").write_bytes(json.dumps(shape, ensure_ascii=False).encode())
+assert main(["ingest", str(src), "--out", str(root / "in.mol1")]) == 0
+
+config = root / "config.json"
+settings = {"dataset": tag + ".mol1", "t_steps": 3}
+config.write_bytes(json.dumps(settings, ensure_ascii=False).encode())
+assert main(["schedule-dump", "--config", str(config), "--out", str(root / "dump")]) == 0
+
+raw, labels = grating_dataset(2, seed=0)
+save_mol1(standardized_dataset(raw, labels, 4, provenance=tag), root / "ds.mol1")
+mpath = manifest_path(root / "ds.mol1")
+mpath.write_bytes(json.dumps(json.loads(mpath.read_bytes()), ensure_ascii=False).encode())
+assert load_mol1(root / "ds.mol1").provenance == tag
+print("ok")
+"""
+
+
+def test_text_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    src = str(Path(datamoll.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+        PYTHONIOENCODING="ascii:backslashreplace",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _UTF8_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "ok"

@@ -10,10 +10,12 @@ from datamoll.tensors import (
     compute_channel_stats,
     dct2d,
     destandardize,
+    ensure_image,
+    ensure_stack,
     idct2d,
     standardize,
 )
-from tests.oracles import naive_dct2, two_pass_stats
+from tests.oracles import fft_dct2d, fft_idct2d, kernel_inputs, naive_dct2, two_pass_stats
 
 
 def rand_image(rng, h, w, c):
@@ -83,6 +85,20 @@ class TestChannelStats:
             ChannelStats(mean=np.zeros(1), std=np.zeros(1))
 
 
+class TestEnsure:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_non_finite_pixel_anywhere_is_rejected(self, value, where):
+        img = np.ones((5, 4, 3))
+        stack = np.ones((3, 5, 4, 3))
+        for arr in (img, stack):
+            arr.flat[{"first": 0, "middle": arr.size // 2, "last": arr.size - 1}[where]] = value
+        with pytest.raises(DataError, match="^image contains non-finite values$"):
+            ensure_image(img)
+        with pytest.raises(DataError, match="^images contain non-finite values$"):
+            ensure_stack(stack)
+
+
 class TestStandardize:
     def test_identity_stats(self):
         img = np.random.default_rng(0).standard_normal((3, 3, 2))
@@ -143,6 +159,14 @@ class TestDct:
         grid = dct2d(img)
         for ch in range(2):
             assert grid[:, :, ch] == approx(naive_dct2(img[:, :, ch]), abs=1e-8)
+
+    def test_equals_the_two_call_scipy_fft_form_exactly(self):
+        for label, img in kernel_inputs():
+            grid = dct2d(img)
+            assert np.isfinite(grid).all(), label
+            assert np.array_equal(grid, fft_dct2d(img)), label
+            assert np.array_equal(idct2d(img), fft_idct2d(img)), label
+            assert np.array_equal(idct2d(grid), fft_idct2d(grid)), label
 
     def test_zero_grid_inverts_to_zero(self):
         assert idct2d(np.zeros((4, 4, 1))) == approx(np.zeros((4, 4, 1)))
