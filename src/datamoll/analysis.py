@@ -4,7 +4,9 @@ summaries of corruptions.
 The information curve measures how much losslessly compressible content a
 blur level leaves in a dataset: blur every image at temperature t,
 de-standardize, quantize to 8 bits, PNG-encode, and take the mean byte-size
-ratio against the t = 0 encoding.  Spectral deltas summarize a corruption by
+ratio against the t = 0 encoding.  Images are blurred and quantized a chunk
+at a time and encoded one by one; the sizes are those of blurring each
+image on its own.  Spectral deltas summarize a corruption by
 the mean absolute change it causes per DCT coefficient, optionally reduced
 to radial-frequency annuli.
 """
@@ -19,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .mollifier import blur_image, heat_blur
+from .mollifier import heat_blur, heat_blur_stack
 from .png import png_size
-from .schedules import ScheduleConfig, blur_sigma
+from .schedules import ScheduleConfig, blur_sigma, dissipation_time
 from .streams import stream
-from .tensors import ChannelStats, dct2d, destandardize, ensure_image, ensure_stack
+from .tensors import ChannelStats, dct2d, ensure_image, ensure_stack
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
 
@@ -31,6 +33,10 @@ _NOISE_SIGMAS = (0.1, 0.2, 0.4, 0.6, 0.8)
 _BLUR_SIGMAS = (0.5, 1.0, 2.0, 4.0, 8.0)
 _CONTRAST_FACTORS = (0.8, 0.6, 0.4, 0.3, 0.2)
 _PIXELATE_BLOCKS = (2, 3, 4, 5, 6)
+
+# Images blurred, quantized and encoded together by info_curve: enough to
+# share the transforms' per-call cost, few enough to keep the stack small.
+_INFO_CHUNK = 32
 
 
 def _severity_index(severity: int) -> int:
@@ -140,48 +146,64 @@ class InfoCurvePoint:
     mean_ratio: float
 
 
-def quantize_for_png(img: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """De-standardize, clamp to [0, 1], and quantize to 8-bit pixels."""
-    raw = np.clip(destandardize(img, stats), 0.0, 1.0)
+def quantize_for_png(images: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    """De-standardize, clamp to [0, 1], and quantize to 8-bit pixels.
+
+    ``images`` is one (H, W, C) image or an (N, H, W, C) stack of finite
+    values; the result has its shape.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim not in (3, 4):
+        raise DataError(f"expected an (H, W, C) image or (N, H, W, C) stack, got {images.shape}")
+    if images.shape[-1] != stats.channels:
+        raise DataError(
+            f"images have {images.shape[-1]} channels but stats describe {stats.channels}"
+        )
+    raw = np.clip(images * stats.std + stats.mean, 0.0, 1.0)
     return np.round(raw * 255.0).astype(np.uint8)
 
 
 def info_curve(
-    images: Sequence[np.ndarray],
+    images: np.ndarray | Sequence[np.ndarray],
     stats: ChannelStats,
     cfg: ScheduleConfig,
     t_grid: Sequence[float],
 ) -> list[InfoCurvePoint]:
     """PNG size ratios over a temperature grid (which must contain t = 0).
 
-    The baseline size of each image is its own encoding at t = 0; since the
-    schedule blurs at sigma_min even there, the curve starts at exactly 1.
+    ``images`` is an (N, H, W, C) stack or a sequence of equal-shape images
+    with 1 or 3 channels.  The baseline size of each image is its own
+    encoding at t = 0; since the schedule blurs at sigma_min even there, the
+    curve starts at exactly 1.
     """
     if len(images) == 0:
         raise DataError("info_curve needs a non-empty dataset")
     grid = [float(t) for t in t_grid]
     if 0.0 not in grid:
         raise DataError("the temperature grid must contain t = 0")
-    if images[0].shape[2] not in (1, 3):
-        raise DataError("PNG encoding supports 1- or 3-channel images only")
-
-    def sizes_at(t: float) -> np.ndarray:
-        out = np.empty(len(images))
-        for i, img in enumerate(images):
-            try:
-                out[i] = png_size(quantize_for_png(blur_image(img, t, cfg), stats))
-            except Exception as exc:  # pragma: no cover - defensive re-raise
-                raise DataError(f"PNG encoding failed for image {i} at t={t}: {exc}") from exc
-        return out
-
-    base = sizes_at(0.0)
-    points = []
-    for t in grid:
-        sizes = base if t == 0.0 else sizes_at(t)
-        points.append(
-            InfoCurvePoint(t=t, sigma_b=blur_sigma(t, cfg), mean_ratio=float((sizes / base).mean()))
+    # Row 0 is the t = 0 baseline, then one row per non-zero grid entry.
+    temps = [0.0] + [t for t in grid if t != 0.0]
+    taus = [dissipation_time(blur_sigma(t, cfg)) for t in temps]
+    sizes = np.empty((len(temps), len(images)))
+    for start in range(0, len(images), _INFO_CHUNK):
+        chunk = ensure_stack(images[start : start + _INFO_CHUNK])
+        if chunk.shape[3] not in (1, 3):
+            raise DataError("PNG encoding supports 1- or 3-channel images only")
+        if start and chunk.shape[1:] != shape:
+            raise DataError(f"images must share one shape, got {shape} and {chunk.shape[1:]}")
+        shape = chunk.shape[1:]
+        for row, tau in enumerate(taus):
+            pixels = quantize_for_png(heat_blur_stack(chunk, tau), stats)
+            sizes[row, start : start + len(chunk)] = [png_size(img) for img in pixels]
+    base, rows = sizes[0], iter(sizes[1:])
+    return [
+        InfoCurvePoint(
+            t=t,
+            sigma_b=blur_sigma(t, cfg),
+            mean_ratio=float(((base if t == 0.0 else next(rows)) / base).mean()),
         )
-    return points
+        for t in grid
+    ]
 
 
 def spectral_delta(clean: Sequence[np.ndarray], corrupted: Sequence[np.ndarray]) -> np.ndarray:

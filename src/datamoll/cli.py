@@ -406,7 +406,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     if src.is_file():
         ds = load_mol1(src)
-        pixels = np.stack([quantize_for_png(img, ds.stats) for img in ds.images])
+        pixels = quantize_for_png(ds.images, ds.stats)
         labels = ds.labels
         num_classes = ds.num_classes
     elif src.is_dir():

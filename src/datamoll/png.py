@@ -1,11 +1,13 @@
 """Write-only 8-bit PNG encoder for grayscale and RGB arrays.
 
 Each scanline gets the filter (None/Sub/Up/Average/Paeth) minimizing the
-sum of absolute filtered bytes, the heuristic common PNG encoders use,
-and the stream is deflate-compressed at the default level.  Encoding
-byte sizes feed the information-curve analysis, so the encoder is kept
-in-tree to make sizes stable across environments; output is nonetheless
-a valid, losslessly decodable PNG.
+sum of absolute filtered bytes read as signed, ties going to the lowest
+filter id: the heuristic common PNG encoders use.  All five candidates are
+built for the whole image at once in wrapping uint8 arithmetic, which is
+the spec's modulo-256 filtering, and the stream is deflate-compressed at
+the default level.  Encoding byte sizes feed the information-curve
+analysis, so the encoder is kept in-tree to make sizes stable across
+environments; output is nonetheless a valid, losslessly decodable PNG.
 """
 
 from __future__ import annotations
@@ -24,38 +26,32 @@ def _chunk(kind: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + kind + payload + struct.pack(">I", crc)
 
 
-def _paeth(left: np.ndarray, up: np.ndarray, up_left: np.ndarray) -> np.ndarray:
-    a = left.astype(np.int16)
-    b = up.astype(np.int16)
-    c = up_left.astype(np.int16)
-    p = a + b - c
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return pred.astype(np.uint8)
-
-
 def _filtered_scanlines(raw: np.ndarray, bpp: int) -> bytes:
+    """Each row of ``raw`` as its filter id followed by its filtered bytes."""
     rows, stride = raw.shape
-    left = np.zeros_like(raw)
-    left[:, bpp:] = raw[:, :-bpp]
-    up = np.zeros_like(raw)
-    up[1:] = raw[:-1]
-    up_left = np.zeros_like(raw)
-    up_left[1:, bpp:] = raw[:-1, :-bpp]
+    # Zero-padded above and to the left, so the neighbours are views.
+    padded = np.zeros((rows + 1, stride + bpp), dtype=np.uint8)
+    padded[1:, bpp:] = raw
+    left, up, up_left = padded[1:, :-bpp], padded[:-1, bpp:], padded[:-1, :-bpp]
+    wide = padded.astype(np.int16)
+    a, b, c = wide[1:, :-bpp], wide[:-1, bpp:], wide[:-1, :-bpp]
 
-    r16 = raw.astype(np.int16)
-    candidates = np.stack(
-        [
-            raw,
-            ((r16 - left) % 256).astype(np.uint8),
-            ((r16 - up) % 256).astype(np.uint8),
-            ((r16 - ((left.astype(np.int16) + up) // 2)) % 256).astype(np.uint8),
-            ((r16 - _paeth(left, up, up_left)) % 256).astype(np.uint8),
-        ]
-    )  # (5, rows, stride)
-    # Minimum sum of absolute differences, bytes read as signed.
-    cost = np.where(candidates < 128, candidates.astype(np.int64), 256 - candidates.astype(np.int64))
-    choice = np.argmin(cost.sum(axis=2), axis=0)  # (rows,)
+    # Paeth's |p - a|, |p - b|, |p - c| for p = a + b - c.
+    pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
+    paeth = np.where(pb <= pc, up, up_left)
+    np.copyto(paeth, left, where=(pa <= pb) & (pa <= pc))
+
+    candidates = np.empty((5, rows, stride), dtype=np.uint8)
+    candidates[0] = raw
+    np.subtract(raw, left, out=candidates[1])
+    np.subtract(raw, up, out=candidates[2])
+    np.subtract(raw, ((a + b) >> 1).astype(np.uint8), out=candidates[3])
+    np.subtract(raw, paeth, out=candidates[4])
+    # Sum of absolute bytes read as signed.  abs(-128) wraps to -128 in int8,
+    # which reads back as 128 in uint8; a row sums to at most 128 * stride.
+    magnitude = np.abs(candidates.view(np.int8)).view(np.uint8)
+    total = np.int16 if 128 * stride < 2**15 else np.int64
+    choice = np.argmin(magnitude.sum(axis=2, dtype=total), axis=0)
     out = np.empty((rows, stride + 1), dtype=np.uint8)
     out[:, 0] = choice
     out[:, 1:] = candidates[choice, np.arange(rows)]

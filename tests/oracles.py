@@ -81,6 +81,48 @@ def mean_contrast(img: np.ndarray, factor: float) -> np.ndarray:
     return mean + factor * (img - mean)
 
 
+def naive_png_scanlines(pixels: np.ndarray) -> bytes:
+    """PNG scanlines of (H, W[, C]) uint8 pixels, each row's filter chosen byte by byte.
+
+    Every row is filtered with each of the five filters by the spec's per-byte
+    definitions; the one whose bytes, read as signed, have the least absolute
+    sum is kept, the lowest filter id on a tie.
+    """
+    pixels = np.asarray(pixels)
+    bpp = pixels.shape[2] if pixels.ndim == 3 else 1
+    prior = [0] * (pixels.shape[1] * bpp)
+    out = bytearray()
+    for y in range(pixels.shape[0]):
+        line = [int(v) for v in pixels[y].reshape(-1)]
+        best = None
+        for filter_id in range(5):
+            filtered = []
+            for x in range(len(line)):
+                a = line[x - bpp] if x >= bpp else 0
+                b = prior[x]
+                c = prior[x - bpp] if x >= bpp else 0
+                if filter_id == 0:
+                    pred = 0
+                elif filter_id == 1:
+                    pred = a
+                elif filter_id == 2:
+                    pred = b
+                elif filter_id == 3:
+                    pred = (a + b) // 2
+                else:
+                    p = a + b - c
+                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+                filtered.append((line[x] - pred) % 256)
+            cost = sum(v if v < 128 else 256 - v for v in filtered)
+            if best is None or cost < best[0]:
+                best = (cost, filter_id, filtered)
+        out.append(best[1])
+        out.extend(best[2])
+        prior = line
+    return bytes(out)
+
+
 KERNEL_SHAPES = ((16, 16, 1), (32, 32, 1), (7, 5, 3), (13, 7, 2), (1, 1, 1))
 KERNEL_SCALES = (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -20,7 +22,7 @@ from datamoll.errors import DataError
 from datamoll.schedules import ScheduleConfig
 from datamoll.streams import stream
 from datamoll.synth import fractal_textures
-from datamoll.tensors import ChannelStats, compute_channel_stats, standardize
+from datamoll.tensors import ChannelStats, compute_channel_stats, destandardize, standardize
 from tests.oracles import kernel_inputs, mean_contrast, mean_pixelate, naive_pixelate
 
 
@@ -162,6 +164,49 @@ class TestInfoCurve:
         cfg = ScheduleConfig.for_width(16)
         with pytest.raises(DataError):
             info_curve(images[:2], stats, cfg, [0.1, 0.5])
+
+    def test_two_dimensional_image_is_a_data_error(self):
+        stats = ChannelStats(mean=np.array([0.5]), std=np.array([0.25]))
+        with pytest.raises(DataError):
+            info_curve([np.zeros((4, 4))], stats, ScheduleConfig.for_width(4), [0.0, 1.0])
+
+    @pytest.mark.parametrize("count", [2, 40])
+    def test_images_of_different_shapes_are_a_data_error(self, texture_split, count):
+        images, stats = texture_split
+        mixed = list(images[: count - 1]) + [images[0][:, :12]]
+        with pytest.raises(DataError):
+            info_curve(mixed, stats, ScheduleConfig.for_width(16), [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "count,height,width,channels,seed,digest",
+        [
+            (40, 16, 12, 1, 5, "08121b70e0e20010b2bb399c25467d34e241fd77fda27311dbf03f54a087ca03"),
+            (36, 12, 12, 3, 6, "39eeed5b8cbbc61416973454a0faae20b0faa5a4fbdeb0c20d56f46c804ca3da"),
+        ],
+    )
+    def test_ratios_are_pinned(self, count, height, width, channels, seed, digest):
+        # Digests of the curve as the per-image blur-and-encode loop computed it.
+        gray = fractal_textures(count * channels, height, width, seed=seed)
+        raw = np.concatenate(np.split(gray, channels), axis=3)
+        stats = compute_channel_stats(raw)
+        images = [standardize(img, stats) for img in raw]
+        cfg = ScheduleConfig.for_width(width)
+        points = info_curve(images, stats, cfg, np.linspace(0.0, 1.0, 6))
+        ratios = np.array([p.mean_ratio for p in points])
+        assert hashlib.sha256(ratios.tobytes()).hexdigest() == digest
+
+    def test_stack_quantizes_as_its_images(self, texture_split):
+        images, stats = texture_split
+        stack = np.stack(images) * 3.0
+        expected = np.stack(
+            [np.round(np.clip(destandardize(img, stats), 0.0, 1.0) * 255.0).astype(np.uint8) for img in stack]
+        )
+        assert np.array_equal(quantize_for_png(stack, stats), expected)
+
+    def test_quantize_checks_channels(self, texture_split):
+        _, stats = texture_split
+        with pytest.raises(DataError, match="channels"):
+            quantize_for_png(np.zeros((2, 4, 4, 3)), stats)
 
     def test_quantization_path(self):
         stats = ChannelStats(mean=np.array([0.5]), std=np.array([0.25]))

@@ -9,11 +9,12 @@ from datamoll.mollifier import (
     _heat_rates,
     blur_image,
     heat_blur,
+    heat_blur_stack,
     heat_multipliers,
     mollify_batch,
     noise_image,
 )
-from datamoll.schedules import ScheduleConfig, gamma_blur, gamma_noise
+from datamoll.schedules import ScheduleConfig, blur_sigma, dissipation_time, gamma_blur, gamma_noise
 from datamoll.streams import stream
 from datamoll.tensors import dct2d
 from tests.oracles import closed_form_heat_multipliers
@@ -119,6 +120,23 @@ class TestBlur:
         mult = heat_multipliers(8, 6, 0.5)
         mult[:] = 0.0  # a fresh, writable array: the cache is untouched
         assert np.array_equal(heat_multipliers(8, 6, 0.5), closed_form_heat_multipliers(8, 6, 0.5))
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (32, 32, 3), (12, 20, 2)])
+    def test_stack_equals_per_image_blur_exactly(self, shape):
+        h, w, _ = shape
+        grid_cfg = ScheduleConfig.for_width(w)
+        taus = [0.0] + [dissipation_time(blur_sigma(t, grid_cfg)) for t in np.linspace(0, 1, 11)]
+        stack = np.random.default_rng(h * w).standard_normal((5,) + shape)
+        for tau in taus:
+            expected = np.stack([heat_blur(img, tau) for img in stack])
+            assert np.array_equal(heat_blur_stack(stack, tau), expected)
+            assert np.array_equal(heat_blur_stack(np.asfortranarray(stack), tau), expected)
+
+    def test_stack_at_zero_tau_is_a_copy(self):
+        stack = np.ones((2, 4, 4, 1))
+        out = heat_blur_stack(stack, 0.0)
+        out[:] = 0.0
+        assert np.all(stack == 1.0)
 
     def test_non_square_supported(self, cfg):
         img = np.random.default_rng(10).standard_normal((8, 16, 1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from datamoll.png import encode_png, png_size
+from tests.oracles import naive_png_scanlines
 
 
 def decode_png(data: bytes) -> np.ndarray:
@@ -60,6 +61,42 @@ def decode_png(data: bytes) -> np.ndarray:
         prior = rec
     out = np.stack(rows).astype(np.uint8)
     return out.reshape(h, w, 3) if color_type == 2 else out.reshape(h, w)
+
+
+def idat_payload(data: bytes) -> bytes:
+    """The concatenated IDAT payloads of a PNG."""
+    pos, idat = 8, b""
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if data[pos + 4 : pos + 8] == b"IDAT":
+            idat += data[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    return idat
+
+
+def filter_cases():
+    """(label, uint8 pixels) covering the filter choice, gray and RGB."""
+    rng = np.random.default_rng(11)
+    for channels in (None, 1, 3):
+        tail = () if channels is None else (channels,)
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 300 // (channels or 1))]
+        shapes += [tuple(int(n) for n in rng.integers(1, 24, size=2)) for _ in range(4)]
+        for h, w in shapes:
+            shape = (h, w) + tail
+            yield f"{shape}/random", rng.integers(0, 256, size=shape, dtype=np.uint8)
+            for value in (0, 128, 255):
+                yield f"{shape}/all-{value}", np.full(shape, value, dtype=np.uint8)
+            # A few distinct levels make rows on which filters tie.
+            levels = np.array([0, 1, 127, 128, 254, 255], dtype=np.uint8)
+            yield f"{shape}/levels", levels[rng.integers(0, 6, size=shape)]
+            ramp = np.add.outer(np.arange(h), np.arange(w)).astype(np.uint8)
+            yield f"{shape}/ramp", np.broadcast_to(ramp.reshape((h, w) + (1,) * len(tail)), shape)
+
+
+class TestFilterChoice:
+    @pytest.mark.parametrize("pixels", [pytest.param(p, id=label) for label, p in filter_cases()])
+    def test_idat_is_the_naive_selector_compressed(self, pixels):
+        assert idat_payload(encode_png(pixels)) == zlib.compress(naive_png_scanlines(pixels))
 
 
 class TestEncoder:
