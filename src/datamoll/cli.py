@@ -120,18 +120,25 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_mode_probs(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated probabilities")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_parse_finite(p) for p in parts]
 
 
 _N = {"type": int, "metavar": "N"}
-_F = {"type": float, "metavar": "F"}
+_F = {"type": _parse_finite, "metavar": "F"}
 _BOOL = {"type": _parse_bool, "metavar": "BOOL"}
 # The flags of each key; a flag's argparse dest is the name of the key it sets.
 _FLAGS = {

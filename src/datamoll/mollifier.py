@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.fftpack import dct, idct
 
 from .schedules import (
     ScheduleConfig,
@@ -29,7 +28,7 @@ from .schedules import (
     sample_temperature,
 )
 from .streams import derive_seed, stream
-from .tensors import dct2d, ensure_image, ensure_stack, idct2d
+from .tensors import dct2d, dct2d_stack, ensure_image, ensure_stack, idct2d, idct2d_stack
 
 
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
@@ -52,7 +51,7 @@ def _heat_rates(height: int, width: int) -> np.ndarray:
 
 def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     """Per-frequency attenuation exp(-tau * pi^2 (w^2/W^2 + h^2/H^2))."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"dissipation time must be non-negative, got {tau}")
     return np.exp(-tau * _heat_rates(height, width))
 
@@ -69,14 +68,12 @@ def heat_blur(img: np.ndarray, tau: float) -> np.ndarray:
 def heat_blur_stack(stack: np.ndarray, tau: float) -> np.ndarray:
     """:func:`heat_blur` of each image of an ``(N, H, W, C)`` stack, bit for bit.
 
-    Not validated: ``stack`` must be a finite float64 stack.  The transforms
-    run along the height and width axes of the whole stack at once.
+    Not validated: ``stack`` must be a finite float64 stack.
     """
     if tau == 0.0:
         return stack.copy()
     mult = heat_multipliers(stack.shape[1], stack.shape[2], tau)[None, :, :, None]
-    grid = dct(dct(stack, type=2, norm="ortho", axis=1), type=2, norm="ortho", axis=2)
-    return idct(idct(grid * mult, type=2, norm="ortho", axis=2), type=2, norm="ortho", axis=1)
+    return idct2d_stack(dct2d_stack(stack) * mult)
 
 
 def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:

@@ -41,16 +41,16 @@ class ScheduleConfig:
         object.__setattr__(self, "sigma_min", float(self.sigma_min))
         probs = tuple(float(p) for p in self.mode_probs)
         object.__setattr__(self, "mode_probs", probs)
-        if not 0.0 < self.sigma_min < self.sigma_max:
+        if not 0.0 < self.sigma_min < self.sigma_max < math.inf:
             raise ValueError(
-                f"need 0 < sigma_min < sigma_max, got ({self.sigma_min}, {self.sigma_max})"
+                f"need 0 < sigma_min < sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})"
             )
-        if self.k_noise <= 0 or self.k_blur <= 0:
-            raise ValueError("label-decay slopes k_noise and k_blur must be positive")
-        if self.beta_alpha <= 0 or self.beta_beta <= 0:
-            raise ValueError("Beta prior shapes must be positive")
-        if len(probs) != 3 or any(p < 0 for p in probs):
-            raise ValueError("mode_probs must be three non-negative values")
+        if not (0 < self.k_noise < math.inf and 0 < self.k_blur < math.inf):
+            raise ValueError("label-decay slopes k_noise and k_blur must be positive and finite")
+        if not (0 < self.beta_alpha < math.inf and 0 < self.beta_beta < math.inf):
+            raise ValueError("Beta prior shapes must be positive and finite")
+        if len(probs) != 3 or not all(0.0 <= p <= 1.0 for p in probs):
+            raise ValueError(f"mode_probs must be three values in [0, 1], got {probs!r}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"mode_probs must sum to 1, got {sum(probs)!r}")
 
@@ -111,7 +111,7 @@ def blur_sigma(t: float, cfg: ScheduleConfig) -> float:
 def dissipation_time(sigma_b: float) -> float:
     """Heat-equation time equivalent to a Gaussian kernel of scale sigma_b."""
     sigma_b = float(sigma_b)
-    if sigma_b < 0:
+    if not sigma_b >= 0:
         raise ValueError(f"blur scale must be non-negative, got {sigma_b}")
     return 0.5 * sigma_b * sigma_b
 

@@ -8,6 +8,12 @@ and amplitude; class identity lives in low spatial frequencies, so the
 problem survives moderate blurring and noising.  Raw images are in [0, 1];
 ``standardized_dataset`` wraps them into a MOL1 dataset with computed
 channel statistics.
+
+Both generators compute a chunk of images at a time with stack operations.
+Each image's random draws still come from the seed's stream in the same
+order as in a loop over images, and every pixel is computed with the same
+floating-point operations, so the output equals the per-image loop bit for
+bit and does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .mol1 import Mol1Dataset
 from .streams import stream
-from .tensors import compute_channel_stats, idct2d
+from .tensors import compute_channel_stats, idct2d_stack
 
 
 # The amplitude spectrum of fractal textures falls off as 1/f^_FRACTAL_EXPONENT.
@@ -34,15 +40,12 @@ def fractal_textures(count: int, height: int = 32, width: int = 32, seed: int = 
     floor = 1.0 / max(height, width)
     amplitude = (radius + floor) ** (-_FRACTAL_EXPONENT)
     amplitude[0, 0] = 0.0  # no DC component; brightness is set afterwards
-    images = np.empty((count, height, width, 1))
-    for i in range(count):
-        coefs = rng.standard_normal((height, width)) * amplitude
-        img = idct2d(coefs[:, :, None])[:, :, 0]
-        spread = img.std()
-        if spread == 0:
-            spread = 1.0
-        images[i, :, :, 0] = np.clip(0.5 + 0.15 * (img - img.mean()) / spread, 0.0, 1.0)
-    return images
+    coefs = rng.standard_normal((count, height, width)) * amplitude
+    imgs = idct2d_stack(coefs[:, :, :, None])[:, :, :, 0]
+    mean = imgs.mean(axis=(1, 2), keepdims=True)
+    spread = imgs.std(axis=(1, 2), keepdims=True)
+    spread[spread == 0] = 1.0
+    return np.clip(0.5 + 0.15 * (imgs - mean) / spread, 0.0, 1.0)[:, :, :, None]
 
 
 # Amplitude and cycles-per-image range of each oriented component: five
@@ -57,6 +60,14 @@ _TEXTURE_COMPONENTS = (
 )
 # Standard deviation of the Gaussian pixel noise added to every texture.
 _PIXEL_NOISE = 0.02
+# Images per pass of grating_dataset: enough to amortize each array
+# operation's call cost, few enough to keep the temporaries small.
+_GRATING_CHUNK = 256
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` from its ``random()`` draws ``u``, bit for bit."""
+    return low + (high - low) * u
 
 
 def grating_dataset(
@@ -81,20 +92,31 @@ def grating_dataset(
     cols = np.arange(width)[None, :]
     images = np.empty((count, height, width, 1))
     labels = rng.integers(0, num_classes, size=count)
-
-    def wave(theta: float, cycles: tuple[float, float]) -> np.ndarray:
-        freq = rng.uniform(*cycles)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        axis = rows * math.cos(theta) + cols * math.sin(theta)
-        return np.cos(2.0 * math.pi * freq * axis / width + phase)
-
-    for i in range(count):
-        theta = math.pi * labels[i] / num_classes + rng.uniform(-1, 1) * (math.pi / 24)
-        rng.random()  # a brightness jitter of width 0, drawn to keep the stream's layout
-        pixel = 0.5 + _PIXEL_NOISE * rng.standard_normal((height, width))
-        for amp, cycles in _TEXTURE_COMPONENTS:
-            pixel = pixel + amp * rng.uniform(0.8, 1.2) * wave(theta, cycles)
-        images[i, :, :, 0] = np.clip(pixel, 0.0, 1.0)
+    for start in range(0, count, _GRATING_CHUNK):
+        chunk = labels[start : start + _GRATING_CHUNK]
+        n = len(chunk)
+        # Per image, in stream order: the orientation wobble and a brightness
+        # jitter of width 0 (drawn to keep the stream's layout), the pixel
+        # noise, then each component's scale, frequency and phase.
+        wobble = np.empty((n, 2))
+        noise = np.empty((n, height, width))
+        draws = np.empty((n, len(_TEXTURE_COMPONENTS), 3))
+        for i in range(n):
+            rng.random(out=wobble[i])
+            rng.standard_normal(out=noise[i])
+            rng.random(out=draws[i])
+        theta = math.pi * chunk / num_classes + _uniform(wobble[:, 0], -1.0, 1.0) * (math.pi / 24)
+        cos = np.array([math.cos(x) for x in theta])[:, None, None]
+        sin = np.array([math.sin(x) for x in theta])[:, None, None]
+        axis = rows * cos + cols * sin
+        pixel = 0.5 + _PIXEL_NOISE * noise
+        for k, (amp, cycles) in enumerate(_TEXTURE_COMPONENTS):
+            scale = amp * _uniform(draws[:, k, 0], 0.8, 1.2)
+            freq = _uniform(draws[:, k, 1], *cycles)
+            phase = _uniform(draws[:, k, 2], 0.0, 2.0 * math.pi)
+            wave = np.cos(2.0 * math.pi * freq[:, None, None] * axis / width + phase[:, None, None])
+            pixel = pixel + scale[:, None, None] * wave
+        images[start : start + n, :, :, 0] = np.clip(pixel, 0.0, 1.0)
     return images, labels.astype(np.int64)
 
 

@@ -113,13 +113,6 @@ def standardize(img: np.ndarray, stats: ChannelStats) -> np.ndarray:
     return (img - stats.mean) / stats.std
 
 
-def destandardize(img: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """Inverse of :func:`standardize`: ``img * std + mean`` per channel."""
-    img = ensure_image(img)
-    _check_channels(img, stats)
-    return img * stats.std + stats.mean
-
-
 def dct2d(img: np.ndarray) -> np.ndarray:
     """Orthonormal type-II DCT along height then width, per channel."""
     img = ensure_image(img)
@@ -132,3 +125,19 @@ def idct2d(grid: np.ndarray) -> np.ndarray:
     grid = ensure_image(grid)
     out = idct(grid, type=2, norm="ortho", axis=1)
     return idct(out, type=2, norm="ortho", axis=0)
+
+
+def dct2d_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`dct2d` of each image of an ``(N, H, W, C)`` stack, bit for bit.
+
+    Not validated: ``stack`` must be a finite float64 stack.  Each transform
+    runs along one axis of the whole stack at once.
+    """
+    out = dct(stack, type=2, norm="ortho", axis=1)
+    return dct(out, type=2, norm="ortho", axis=2)
+
+
+def idct2d_stack(grid: np.ndarray) -> np.ndarray:
+    """:func:`idct2d` of each image of an ``(N, H, W, C)`` stack, bit for bit; not validated."""
+    out = idct(grid, type=2, norm="ortho", axis=2)
+    return idct(out, type=2, norm="ortho", axis=1)

@@ -53,8 +53,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_units < 1:
             raise ValueError("epochs, batch_size, and hidden_units must be >= 1")
-        if self.lr <= 0:
-            raise ValueError(f"initial learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"initial learning rate must be positive and finite, got {self.lr}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.samples_per_image < 1:

@@ -12,6 +12,10 @@ import math
 import numpy as np
 import scipy.fft
 
+from datamoll import synth
+from datamoll.streams import stream
+from datamoll.tensors import idct2d
+
 
 def naive_dct2(channel: np.ndarray) -> np.ndarray:
     """Orthonormal type-II DCT of one channel by the O(N^2) double sum."""
@@ -141,6 +145,52 @@ def kernel_inputs():
             yield f"{h}x{w}x{c}@{scale:g}", img
             yield f"{h}x{w}x{c}@{scale:g}/F", np.asfortranarray(img)
             yield f"{h}x{w}x{c}@{scale:g}/strided", wide[::2, 1::3, :c]
+
+
+def loop_fractal_textures(count: int, height: int = 32, width: int = 32, seed: int = 0) -> np.ndarray:
+    """``synth.fractal_textures`` as a loop over images, one 2-D inverse DCT each."""
+    rng = stream(seed)
+    fh = np.arange(height) / height
+    fw = np.arange(width) / width
+    radius = np.sqrt(fh[:, None] ** 2 + fw[None, :] ** 2)
+    floor = 1.0 / max(height, width)
+    amplitude = (radius + floor) ** (-synth._FRACTAL_EXPONENT)
+    amplitude[0, 0] = 0.0
+    images = np.empty((count, height, width, 1))
+    for i in range(count):
+        coefs = rng.standard_normal((height, width)) * amplitude
+        img = idct2d(coefs[:, :, None])[:, :, 0]
+        spread = img.std()
+        if spread == 0:
+            spread = 1.0
+        images[i, :, :, 0] = np.clip(0.5 + 0.15 * (img - img.mean()) / spread, 0.0, 1.0)
+    return images
+
+
+def loop_grating_dataset(
+    count: int, height: int = 16, width: int = 16, num_classes: int = 4, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``synth.grating_dataset`` as a loop over images, with scalar draws and one wave at a time."""
+    rng = stream(seed)
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    images = np.empty((count, height, width, 1))
+    labels = rng.integers(0, num_classes, size=count)
+
+    def wave(theta: float, cycles: tuple[float, float]) -> np.ndarray:
+        freq = rng.uniform(*cycles)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        axis = rows * math.cos(theta) + cols * math.sin(theta)
+        return np.cos(2.0 * math.pi * freq * axis / width + phase)
+
+    for i in range(count):
+        theta = math.pi * labels[i] / num_classes + rng.uniform(-1, 1) * (math.pi / 24)
+        rng.random()  # a brightness jitter of width 0
+        pixel = 0.5 + synth._PIXEL_NOISE * rng.standard_normal((height, width))
+        for amp, cycles in synth._TEXTURE_COMPONENTS:
+            pixel = pixel + amp * rng.uniform(0.8, 1.2) * wave(theta, cycles)
+        images[i, :, :, 0] = np.clip(pixel, 0.0, 1.0)
+    return images, labels.astype(np.int64)
 
 
 def closed_form_heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:

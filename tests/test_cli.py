@@ -557,6 +557,26 @@ class TestConfigAndErrors:
             )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("schedule-dump", "--k-noise", "nan"),
+            ("mollify", "--k-blur", "inf"),
+            ("train", "--lr", "nan"),
+            ("schedule-dump", "--mode-probs", "0.5,nan,0.5"),
+        ],
+    )
+    def test_non_finite_flag_is_a_usage_error(
+        self, dataset_path, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), flag, value]
+        if command != "schedule-dump":
+            argv += ["--dataset", str(dataset_path)]
+        assert main(argv) == 2
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_mutates_dataset(self, dataset_path, tmp_path):
         before = dataset_path.read_bytes()
         main(["mollify", "--dataset", str(dataset_path), "--out", str(tmp_path / "m")])

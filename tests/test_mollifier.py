@@ -56,6 +56,10 @@ class TestNoise:
 
 
 class TestBlur:
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError):
+            heat_multipliers(4, 4, math.nan)
+
     def test_zero_tau_identity(self):
         img = np.random.default_rng(4).standard_normal((8, 8, 2))
         assert heat_blur(img, 0.0) == approx(img, abs=1e-6)

@@ -36,6 +36,13 @@ class TestConfig:
             {"sigma_max": 16.0, "beta_beta": -1.0},
             {"sigma_max": 16.0, "mode_probs": (0.5, 0.5, 0.5)},
             {"sigma_max": 16.0, "mode_probs": (-0.1, 0.6, 0.5)},
+            {"sigma_max": math.inf},
+            {"sigma_max": 16.0, "k_noise": math.nan},
+            {"sigma_max": 16.0, "k_blur": math.inf},
+            {"sigma_max": 16.0, "beta_alpha": math.inf},
+            {"sigma_max": 16.0, "beta_beta": math.nan},
+            {"sigma_max": 16.0, "mode_probs": (math.nan, 0.5, 0.5)},
+            {"sigma_max": 16.0, "mode_probs": (0.5, math.nan, 0.5)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -126,6 +133,8 @@ class TestBlurSchedule:
         assert dissipation_time(math.sqrt(2.0)) == approx(1.0, rel=1e-12)
         with pytest.raises(ValueError):
             dissipation_time(-1.0)
+        with pytest.raises(ValueError):
+            dissipation_time(math.nan)
 
 
 class TestGammaBlur:

@@ -9,7 +9,6 @@ from datamoll.tensors import (
     ChannelStats,
     compute_channel_stats,
     dct2d,
-    destandardize,
     ensure_image,
     ensure_stack,
     idct2d,
@@ -104,20 +103,20 @@ class TestStandardize:
         img = np.random.default_rng(0).standard_normal((3, 3, 2))
         stats = ChannelStats(mean=np.zeros(2), std=np.ones(2))
         assert standardize(img, stats) == approx(img)
-        assert destandardize(img, stats) == approx(img)
+        assert img * stats.std + stats.mean == approx(img)
 
     def test_centering(self):
         img = np.full((1, 1, 1), 0.5)
         stats = ChannelStats(mean=np.array([0.5]), std=np.array([0.25]))
         assert standardize(img, stats)[0, 0, 0] == 0.0
-        assert destandardize(np.zeros((1, 1, 1)), stats)[0, 0, 0] == 0.5
+        assert (np.zeros((1, 1, 1)) * stats.std + stats.mean)[0, 0, 0] == 0.5
 
     def test_roundtrip(self):
         rng = np.random.default_rng(1)
         img = rand_image(rng, 6, 5, 3)
         stats = ChannelStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
-        assert destandardize(standardize(img, stats), stats) == approx(img, abs=1e-6)
-        assert standardize(destandardize(img, stats), stats) == approx(img, abs=1e-6)
+        assert standardize(img, stats) * stats.std + stats.mean == approx(img, abs=1e-6)
+        assert standardize(img * stats.std + stats.mean, stats) == approx(img, abs=1e-6)
 
     def test_channel_mismatch(self):
         stats = ChannelStats(mean=np.zeros(3), std=np.ones(3))

@@ -155,6 +155,13 @@ class TestGrad:
                 assert g == approx(np.mean([r[1][name] for r in rows], axis=0), abs=1e-12)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(schedule=ScheduleConfig.for_width(4), lr=lr)
+
+
 class TestCosineLr:
     def test_schedule_shape(self):
         cfg = TrainConfig(schedule=ScheduleConfig.for_width(4), epochs=100, lr=0.01)
