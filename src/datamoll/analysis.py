@@ -25,7 +25,7 @@ from .mollifier import heat_blur, heat_blur_stack
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma, dissipation_time
 from .streams import stream
-from .tensors import ChannelStats, dct2d, ensure_image, ensure_stack
+from .tensors import ChannelStats, dct2d_stack, ensure_image, ensure_stack, radial_frequencies
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
 
@@ -178,20 +178,18 @@ def info_curve(
     """
     if len(images) == 0:
         raise DataError("info_curve needs a non-empty dataset")
+    stack = ensure_stack(images)
+    if stack.shape[3] not in (1, 3):
+        raise DataError("PNG encoding supports 1- or 3-channel images only")
     grid = [float(t) for t in t_grid]
     if 0.0 not in grid:
         raise DataError("the temperature grid must contain t = 0")
     # Row 0 is the t = 0 baseline, then one row per non-zero grid entry.
     temps = [0.0] + [t for t in grid if t != 0.0]
     taus = [dissipation_time(blur_sigma(t, cfg)) for t in temps]
-    sizes = np.empty((len(temps), len(images)))
-    for start in range(0, len(images), _INFO_CHUNK):
-        chunk = ensure_stack(images[start : start + _INFO_CHUNK])
-        if chunk.shape[3] not in (1, 3):
-            raise DataError("PNG encoding supports 1- or 3-channel images only")
-        if start and chunk.shape[1:] != shape:
-            raise DataError(f"images must share one shape, got {shape} and {chunk.shape[1:]}")
-        shape = chunk.shape[1:]
+    sizes = np.empty((len(temps), len(stack)))
+    for start in range(0, len(stack), _INFO_CHUNK):
+        chunk = stack[start : start + _INFO_CHUNK]
         for row, tau in enumerate(taus):
             pixels = quantize_for_png(heat_blur_stack(chunk, tau), stats)
             sizes[row, start : start + len(chunk)] = [png_size(img) for img in pixels]
@@ -209,22 +207,14 @@ def info_curve(
 def spectral_delta(clean: Sequence[np.ndarray], corrupted: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise mean |DCT(corrupted) - DCT(clean)| over images and channels.
 
-    Returns the (H, W) grid of the mean absolute change per DCT coefficient.
+    Returns the (H, W) grid of the mean absolute change per DCT coefficient;
+    the per-image grids are added in image order.
     """
     clean, corrupted = ensure_stack(clean), ensure_stack(corrupted)
     if len(clean) == 0 or clean.shape != corrupted.shape:
         raise DataError(f"need equal non-empty stacks, got {clean.shape} and {corrupted.shape}")
-    acc = np.zeros(clean.shape[1:3])
-    for a, b in zip(clean, corrupted):
-        acc += np.abs(dct2d(b) - dct2d(a)).mean(axis=2)
-    return acc / len(clean)
-
-
-def radial_frequencies(height: int, width: int) -> np.ndarray:
-    """Normalized radial frequency sqrt((w/W)^2 + (h/H)^2) per coefficient."""
-    fh = np.arange(height) / height
-    fw = np.arange(width) / width
-    return np.sqrt(fh[:, None] ** 2 + fw[None, :] ** 2)
+    delta = np.abs(dct2d_stack(corrupted) - dct2d_stack(clean)).mean(axis=3)
+    return np.cumsum(delta, axis=0)[-1] / len(clean)
 
 
 def annulus_means(grid: np.ndarray, num_bands: int = 8) -> tuple[np.ndarray, np.ndarray]:

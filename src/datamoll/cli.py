@@ -130,6 +130,16 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_u64(text: str) -> int:
+    try:
+        value = int(text)
+        if 0 <= value < 2**64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+
+
 def _parse_mode_probs(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -142,7 +152,7 @@ _F = {"type": _parse_finite, "metavar": "F"}
 _BOOL = {"type": _parse_bool, "metavar": "BOOL"}
 # The flags of each key; a flag's argparse dest is the name of the key it sets.
 _FLAGS = {
-    "seed": {"--seed": {"type": int, "metavar": "U64", "help": "run seed"}},
+    "seed": {"--seed": {"type": _parse_u64, "metavar": "U64", "help": "run seed"}},
     "dataset": {"--dataset": {"metavar": "PATH", "help": "MOL1 dataset path"}},
     "schedule": {
         **dict.fromkeys(("--k-noise", "--k-blur", "--beta-alpha", "--beta-beta"), _F),
@@ -216,6 +226,8 @@ def _check_config(value, default, path: str) -> None:
             )
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"config key {path!r} must be finite, got {value!r}")
+        if path == "seed" and not 0 <= value < 2**64:
+            raise DataError(f"config key 'seed' must lie in [0, 2**64), got {value!r}")
 
 
 def _read_json_object(path: Path) -> dict:

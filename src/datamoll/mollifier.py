@@ -51,8 +51,8 @@ def _heat_rates(height: int, width: int) -> np.ndarray:
 
 def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     """Per-frequency attenuation exp(-tau * pi^2 (w^2/W^2 + h^2/H^2))."""
-    if not tau >= 0:
-        raise ValueError(f"dissipation time must be non-negative, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"dissipation time must be finite and non-negative, got {tau}")
     return np.exp(-tau * _heat_rates(height, width))
 
 

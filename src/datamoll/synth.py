@@ -22,9 +22,10 @@ import math
 
 import numpy as np
 
+from .errors import DataError
 from .mol1 import Mol1Dataset
 from .streams import stream
-from .tensors import compute_channel_stats, idct2d_stack
+from .tensors import compute_channel_stats, ensure_stack, idct2d_stack, radial_frequencies
 
 
 # The amplitude spectrum of fractal textures falls off as 1/f^_FRACTAL_EXPONENT.
@@ -34,11 +35,8 @@ _FRACTAL_EXPONENT = 1.0
 def fractal_textures(count: int, height: int = 32, width: int = 32, seed: int = 0) -> np.ndarray:
     """(N, H, W, 1) grayscale textures with a 1/f amplitude spectrum."""
     rng = stream(seed)
-    fh = np.arange(height) / height
-    fw = np.arange(width) / width
-    radius = np.sqrt(fh[:, None] ** 2 + fw[None, :] ** 2)
     floor = 1.0 / max(height, width)
-    amplitude = (radius + floor) ** (-_FRACTAL_EXPONENT)
+    amplitude = (radial_frequencies(height, width) + floor) ** (-_FRACTAL_EXPONENT)
     amplitude[0, 0] = 0.0  # no DC component; brightness is set afterwards
     coefs = rng.standard_normal((count, height, width)) * amplitude
     imgs = idct2d_stack(coefs[:, :, :, None])[:, :, :, 0]
@@ -129,12 +127,18 @@ def standardized_dataset(
 ) -> Mol1Dataset:
     """Standardize raw [0, 1] images into a MOL1 dataset.
 
-    When ``stats`` is omitted they are computed from ``raw_images``; pass a
-    training split's statistics to standardize a held-out split.
+    ``raw_images`` is an (N, H, W, C) stack or a sequence of equal-shape
+    (H, W, C) images.  When ``stats`` is omitted they are computed from
+    ``raw_images``; pass a training split's statistics to standardize a
+    held-out split.
     """
-    raw_images = np.asarray(raw_images, dtype=np.float64)
+    raw_images = ensure_stack(raw_images)
     if stats is None:
         stats = compute_channel_stats(raw_images)
+    if raw_images.shape[3] != stats.channels:
+        raise DataError(
+            f"images have {raw_images.shape[3]} channels but stats describe {stats.channels}"
+        )
     images = (raw_images - stats.mean) / stats.std
     return Mol1Dataset(
         images=images,

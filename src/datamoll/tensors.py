@@ -1,9 +1,10 @@
-"""Image tensors, channel standardization, and the orthonormal 2-D DCT.
+"""Image tensors, channel statistics, and the orthonormal 2-D DCT.
 
 An image is a float array of shape (height, width, channels), row-major
 with the channel axis last.  Standardized images have zero mean and unit
 variance per channel with respect to dataset-level statistics, which is
-the representation every other module assumes.
+the representation every other module assumes; ``synth.standardized_dataset``
+builds it.
 
 The DCT here is the orthonormal type-II transform applied separably along
 height and width, per channel.  Orthonormal scaling makes the transform an
@@ -99,45 +100,35 @@ def compute_channel_stats(dataset: Sequence[np.ndarray] | np.ndarray) -> Channel
     return ChannelStats(mean=mean, std=std)
 
 
-def _check_channels(img: np.ndarray, stats: ChannelStats) -> None:
-    if img.shape[2] != stats.channels:
-        raise DataError(
-            f"image has {img.shape[2]} channels but stats describe {stats.channels}"
-        )
+def dct2d_stack(images: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT along height then width, per channel.
 
-
-def standardize(img: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """Return ``(img - mean) / std`` per channel."""
-    img = ensure_image(img)
-    _check_channels(img, stats)
-    return (img - stats.mean) / stats.std
-
-
-def dct2d(img: np.ndarray) -> np.ndarray:
-    """Orthonormal type-II DCT along height then width, per channel."""
-    img = ensure_image(img)
-    out = dct(img, type=2, norm="ortho", axis=0)
-    return dct(out, type=2, norm="ortho", axis=1)
-
-
-def idct2d(grid: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dct2d` up to floating-point roundoff."""
-    grid = ensure_image(grid)
-    out = idct(grid, type=2, norm="ortho", axis=1)
-    return idct(out, type=2, norm="ortho", axis=0)
-
-
-def dct2d_stack(stack: np.ndarray) -> np.ndarray:
-    """:func:`dct2d` of each image of an ``(N, H, W, C)`` stack, bit for bit.
-
-    Not validated: ``stack`` must be a finite float64 stack.  Each transform
-    runs along one axis of the whole stack at once.
+    ``images`` is one (H, W, C) image or an (N, H, W, C) stack; each image
+    is transformed on its own, with the same arithmetic either way.  Not
+    validated: ``images`` must be finite float64.
     """
-    out = dct(stack, type=2, norm="ortho", axis=1)
-    return dct(out, type=2, norm="ortho", axis=2)
+    out = dct(images, type=2, norm="ortho", axis=-3)
+    return dct(out, type=2, norm="ortho", axis=-2)
 
 
 def idct2d_stack(grid: np.ndarray) -> np.ndarray:
-    """:func:`idct2d` of each image of an ``(N, H, W, C)`` stack, bit for bit; not validated."""
-    out = idct(grid, type=2, norm="ortho", axis=2)
-    return idct(out, type=2, norm="ortho", axis=1)
+    """Exact inverse of :func:`dct2d_stack` up to floating-point roundoff; not validated."""
+    out = idct(grid, type=2, norm="ortho", axis=-2)
+    return idct(out, type=2, norm="ortho", axis=-3)
+
+
+def dct2d(img: np.ndarray) -> np.ndarray:
+    """:func:`dct2d_stack` of one (H, W, C) image, validated."""
+    return dct2d_stack(ensure_image(img))
+
+
+def idct2d(grid: np.ndarray) -> np.ndarray:
+    """:func:`idct2d_stack` of one (H, W, C) grid, validated."""
+    return idct2d_stack(ensure_image(grid))
+
+
+def radial_frequencies(height: int, width: int) -> np.ndarray:
+    """Normalized radial frequency sqrt((w/W)^2 + (h/H)^2) of each DCT coefficient."""
+    fh = np.arange(height) / height
+    fw = np.arange(width) / width
+    return np.sqrt(fh[:, None] ** 2 + fw[None, :] ** 2)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack
 
 from datamoll import synth
 from datamoll.streams import stream
@@ -59,6 +60,26 @@ def fft_idct2d(grid: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft_dct2d`, width then height, through ``scipy.fft``."""
     out = scipy.fft.idct(grid, type=2, norm="ortho", axis=1)
     return scipy.fft.idct(out, type=2, norm="ortho", axis=0)
+
+
+def two_call_dct2d(img: np.ndarray) -> np.ndarray:
+    """The 2-D DCT of one (H, W, C) image as two ``scipy.fftpack`` calls, height then width."""
+    out = scipy.fftpack.dct(img, type=2, norm="ortho", axis=0)
+    return scipy.fftpack.dct(out, type=2, norm="ortho", axis=1)
+
+
+def two_call_idct2d(grid: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`two_call_dct2d`, width then height."""
+    out = scipy.fftpack.idct(grid, type=2, norm="ortho", axis=1)
+    return scipy.fftpack.idct(out, type=2, norm="ortho", axis=0)
+
+
+def loop_spectral_delta(clean: np.ndarray, corrupted: np.ndarray) -> np.ndarray:
+    """``analysis.spectral_delta`` as a loop over image pairs, summed in image order."""
+    acc = np.zeros(clean.shape[1:3])
+    for a, b in zip(clean, corrupted):
+        acc += np.abs(two_call_dct2d(b) - two_call_dct2d(a)).mean(axis=2)
+    return acc / len(clean)
 
 
 def mean_pixelate(img: np.ndarray, block: int) -> np.ndarray:

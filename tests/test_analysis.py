@@ -22,15 +22,21 @@ from datamoll.errors import DataError
 from datamoll.schedules import ScheduleConfig
 from datamoll.streams import stream
 from datamoll.synth import fractal_textures
-from datamoll.tensors import ChannelStats, compute_channel_stats, standardize
-from tests.oracles import kernel_inputs, mean_contrast, mean_pixelate, naive_pixelate
+from datamoll.tensors import ChannelStats, compute_channel_stats
+from tests.oracles import (
+    kernel_inputs,
+    loop_spectral_delta,
+    mean_contrast,
+    mean_pixelate,
+    naive_pixelate,
+)
 
 
 @pytest.fixture(scope="module")
 def texture_split():
     raw = fractal_textures(32, 16, 16, seed=3)
     stats = compute_channel_stats(list(raw))
-    images = [standardize(img, stats) for img in raw]
+    images = list((raw - stats.mean) / stats.std)
     return images, stats
 
 
@@ -189,7 +195,7 @@ class TestInfoCurve:
         gray = fractal_textures(count * channels, height, width, seed=seed)
         raw = np.concatenate(np.split(gray, channels), axis=3)
         stats = compute_channel_stats(raw)
-        images = [standardize(img, stats) for img in raw]
+        images = list((raw - stats.mean) / stats.std)
         cfg = ScheduleConfig.for_width(width)
         points = info_curve(images, stats, cfg, np.linspace(0.0, 1.0, 6))
         ratios = np.array([p.mean_ratio for p in points])
@@ -245,6 +251,14 @@ class TestSpectralDelta:
         rate, r2 = exp_decay_fit(centers[half:], means[half:])
         assert rate < 0.0
         assert r2 >= 0.8
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("count", [1, 40, 64])
+    def test_equals_the_per_image_loop_exactly(self, kind, count):
+        raw = fractal_textures(count * 2, 12, 20, seed=count)
+        clean = np.concatenate(np.split(raw, 2), axis=3) * 2.0 - 1.0
+        corrupted = corruption_cell(clean, kind, 3, seed=4)
+        assert np.array_equal(spectral_delta(clean, corrupted), loop_spectral_delta(clean, corrupted))
 
     def test_shape_mismatch_rejected(self, texture_split):
         images, _ = texture_split

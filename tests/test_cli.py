@@ -577,6 +577,20 @@ class TestConfigAndErrors:
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, value", [("mollify", "-1"), ("eval", "-7"), ("train", str(2**64))]
+    )
+    def test_seed_outside_u64_is_a_usage_error(
+        self, dataset_path, tmp_path, capsys, command, value
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--dataset", str(dataset_path), "--out", str(out), "--seed", value]
+        if command == "eval":
+            argv.insert(1, str(tmp_path / "params.bin"))
+        assert main(argv) == 2
+        assert "argument --seed: expected an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_mutates_dataset(self, dataset_path, tmp_path):
         before = dataset_path.read_bytes()
         main(["mollify", "--dataset", str(dataset_path), "--out", str(tmp_path / "m")])
@@ -598,6 +612,8 @@ class TestConfigSchema:
             ({"train": {"mollify": 1}}, "train.mollify"),
             ({"train": {"epochs": 2.0}}, "train.epochs"),
             ({"seed": True}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
             ({"schedule": {"mode_probs": [0.5, "a", 0.5]}}, "schedule.mode_probs[1]"),
             ({"schedule": {"mode_probs": 0.5}}, "schedule.mode_probs"),
             ({"dataset": 5}, "dataset"),

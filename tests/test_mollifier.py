@@ -60,6 +60,14 @@ class TestBlur:
         with pytest.raises(ValueError):
             heat_multipliers(4, 4, math.nan)
 
+    def test_infinite_tau_rejected_by_both_blurs(self):
+        # exp(-inf * 0) is NaN at DC: the single blur failed in the DCT's input
+        # check and the stack blur returned NaN images.
+        with pytest.raises(ValueError, match="finite and non-negative, got inf"):
+            heat_blur(np.ones((4, 4, 1)), math.inf)
+        with pytest.raises(ValueError, match="finite and non-negative, got inf"):
+            heat_blur_stack(np.ones((2, 4, 4, 1)), math.inf)
+
     def test_zero_tau_identity(self):
         img = np.random.default_rng(4).standard_normal((8, 8, 2))
         assert heat_blur(img, 0.0) == approx(img, abs=1e-6)

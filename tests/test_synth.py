@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from datamoll.analysis import radial_frequencies
 from datamoll.streams import derive_seed
 from datamoll.study import texture_splits
 from datamoll.synth import fractal_textures, grating_dataset, standardized_dataset
-from datamoll.tensors import compute_channel_stats, dct2d
+from datamoll.tensors import compute_channel_stats, dct2d, radial_frequencies
 from tests.oracles import loop_fractal_textures, loop_grating_dataset
 
 SEEDS = (0, 2**63 + 5)

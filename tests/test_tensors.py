@@ -5,16 +5,26 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from datamoll.errors import DataError
+from datamoll.synth import standardized_dataset
 from datamoll.tensors import (
     ChannelStats,
     compute_channel_stats,
     dct2d,
+    dct2d_stack,
     ensure_image,
     ensure_stack,
     idct2d,
-    standardize,
+    idct2d_stack,
 )
-from tests.oracles import fft_dct2d, fft_idct2d, kernel_inputs, naive_dct2, two_pass_stats
+from tests.oracles import (
+    fft_dct2d,
+    fft_idct2d,
+    kernel_inputs,
+    naive_dct2,
+    two_call_dct2d,
+    two_call_idct2d,
+    two_pass_stats,
+)
 
 
 def rand_image(rng, h, w, c):
@@ -98,37 +108,43 @@ class TestEnsure:
             ensure_stack(stack)
 
 
+def _standardize(images: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    labels = np.zeros(len(images), dtype=np.int64)
+    return standardized_dataset(images, labels, 2, stats=stats).images
+
+
 class TestStandardize:
     def test_identity_stats(self):
-        img = np.random.default_rng(0).standard_normal((3, 3, 2))
+        imgs = np.random.default_rng(0).standard_normal((2, 3, 3, 2))
         stats = ChannelStats(mean=np.zeros(2), std=np.ones(2))
-        assert standardize(img, stats) == approx(img)
-        assert img * stats.std + stats.mean == approx(img)
+        assert np.array_equal(_standardize(imgs, stats), imgs)
+        assert imgs * stats.std + stats.mean == approx(imgs)
 
     def test_centering(self):
-        img = np.full((1, 1, 1), 0.5)
+        img = np.full((1, 1, 1, 1), 0.5)
         stats = ChannelStats(mean=np.array([0.5]), std=np.array([0.25]))
-        assert standardize(img, stats)[0, 0, 0] == 0.0
+        assert _standardize(img, stats)[0, 0, 0, 0] == 0.0
         assert (np.zeros((1, 1, 1)) * stats.std + stats.mean)[0, 0, 0] == 0.5
 
     def test_roundtrip(self):
         rng = np.random.default_rng(1)
-        img = rand_image(rng, 6, 5, 3)
+        imgs = rng.standard_normal((2, 6, 5, 3))
         stats = ChannelStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
-        assert standardize(img, stats) * stats.std + stats.mean == approx(img, abs=1e-6)
-        assert standardize(img * stats.std + stats.mean, stats) == approx(img, abs=1e-6)
+        assert _standardize(imgs, stats) * stats.std + stats.mean == approx(imgs, abs=1e-6)
+        assert _standardize(imgs * stats.std + stats.mean, stats) == approx(imgs, abs=1e-6)
 
-    def test_channel_mismatch(self):
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_channel_mismatch(self, channels):
+        # One channel used to broadcast to three; two failed inside NumPy.
         stats = ChannelStats(mean=np.zeros(3), std=np.ones(3))
-        with pytest.raises(DataError):
-            standardize(np.zeros((2, 2, 1)), stats)
+        with pytest.raises(DataError, match=f"^images have {channels} channels but stats describe 3$"):
+            _standardize(np.zeros((2, 2, 2, channels)), stats)
 
     def test_stats_of_standardized_dataset(self):
         rng = np.random.default_rng(2)
-        imgs = [rand_image(rng, 8, 8, 2) * 3.0 - 1.0 for _ in range(6)]
+        imgs = rng.standard_normal((6, 8, 8, 2)) * 3.0 - 1.0
         stats = compute_channel_stats(imgs)
-        standardized = [standardize(img, stats) for img in imgs]
-        post = compute_channel_stats(standardized)
+        post = compute_channel_stats(_standardize(imgs, stats))
         assert post.mean == approx(np.zeros(2), abs=1e-6)
         assert post.std == approx(np.ones(2), abs=1e-6)
 
@@ -166,6 +182,20 @@ class TestDct:
             assert np.array_equal(grid, fft_dct2d(img)), label
             assert np.array_equal(idct2d(img), fft_idct2d(img)), label
             assert np.array_equal(idct2d(grid), fft_idct2d(grid)), label
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (32, 32, 3), (12, 20, 2), (1, 1, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_transform_serves_images_and_stacks(self, shape, order):
+        # The image and stack forms equal the two-call per-image DCT bit for bit.
+        stack = np.random.default_rng(sum(shape)).standard_normal((4,) + shape)
+        stack = np.asarray(stack, order=order)
+        grids = np.stack([two_call_dct2d(img) for img in stack])
+        assert np.array_equal(dct2d_stack(stack), grids)
+        assert np.array_equal(idct2d_stack(grids), np.stack([two_call_idct2d(g) for g in grids]))
+        for img, grid in zip(stack, grids):
+            img = np.asarray(img, order=order)
+            assert np.array_equal(dct2d(img), grid)
+            assert np.array_equal(idct2d(grid), two_call_idct2d(grid))
 
     def test_zero_grid_inverts_to_zero(self):
         assert idct2d(np.zeros((4, 4, 1))) == approx(np.zeros((4, 4, 1)))
