@@ -8,25 +8,29 @@ Writes three MOL1 containers into the output directory:
   with the training statistics;
 * ``fractal.mol1`` -- unlabeled-ish (all class 0 of 2) 1/f-spectrum images
   at 32x32 for the information-curve and spectral analyses.
+
+Exit codes are those of ``datamoll``: 0 success, 2 usage error, 3 data error.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from datamoll.cli import exit_code, parse_positive_int, parse_u64
 from datamoll.mol1 import save_mol1
 from datamoll.streams import derive_seed
 from datamoll.study import texture_splits
 from datamoll.synth import fractal_textures, standardized_dataset
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--train-count", type=int, default=4096)
-    parser.add_argument("--test-count", type=int, default=1024)
-    parser.add_argument("--fractal-count", type=int, default=256)
+    parser.add_argument("--seed", type=parse_u64, default=0)
+    parser.add_argument("--train-count", type=parse_positive_int, default=4096)
+    parser.add_argument("--test-count", type=parse_positive_int, default=1024)
+    parser.add_argument("--fractal-count", type=parse_positive_int, default=256)
     args = parser.parse_args()
 
     from pathlib import Path
@@ -49,7 +53,8 @@ def main() -> None:
     print(f"wrote {out}/textures_train.mol1 ({args.train_count} images)")
     print(f"wrote {out}/textures_test.mol1 ({args.test_count} images)")
     print(f"wrote {out}/fractal.mol1 ({args.fractal_count} images)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

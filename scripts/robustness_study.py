@@ -9,28 +9,38 @@ model is evaluated on clean and corrupted test splits.  Typical outcome: a
 pooled corrupted ECE and NLL move against the mollified model on this
 shallow-MLP benchmark because its smoothed-label confidence undershoots the
 accuracy it retains under mid-strength corruption.
+
+Exit codes are those of ``datamoll``: 0 success, 2 usage error, 3 data
+error, 4 numerical failure.
 """
 
 import argparse
 import json
-from pathlib import Path
+import sys
 
+from datamoll.cli import exit_code, parse_positive_int, parse_u64
+from datamoll.ioutil import write_text
 from datamoll.study import aggregate, run_study
 
 
-def main() -> None:
+def _parse_seeds(text: str) -> list[int]:
+    return [parse_u64(s) for s in text.split(",")]
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--train-count", type=int, default=4096)
-    parser.add_argument("--test-count", type=int, default=1024)
+    parser.add_argument(
+        "--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seed list"
+    )
+    parser.add_argument("--epochs", type=parse_positive_int, default=100)
+    parser.add_argument("--train-count", type=parse_positive_int, default=4096)
+    parser.add_argument("--test-count", type=parse_positive_int, default=1024)
     parser.add_argument("--out", default=None, help="optional JSON output path")
     args = parser.parse_args()
 
-    seeds = [int(s) for s in args.seeds.split(",")]
     results = []
     print(f"{'seed':>4}  {'arm':<9}  {'clean':>6}  {'corr':>6}  {'ece':>6}  {'nll':>6}")
-    for seed in seeds:
+    for seed in args.seeds:
         result = run_study(
             seed,
             train_count=args.train_count,
@@ -54,9 +64,10 @@ def main() -> None:
     print(f"mean corrupted ECE:   {summary['baseline_corrupted_ece']:.3f} -> "
           f"{summary['mollified_corrupted_ece']:.3f}")
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_text(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"summary written to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

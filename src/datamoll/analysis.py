@@ -21,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .mollifier import heat_blur, heat_blur_stack
+from .mollifier import blur_image, heat_blur
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma, dissipation_time
 from .streams import stream
-from .tensors import ChannelStats, dct2d_stack, ensure_image, ensure_stack, radial_frequencies
+from .tensors import ChannelStats, dct2d, ensure_image, ensure_stack, radial_frequencies
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
 
@@ -101,7 +101,7 @@ def corrupt(
         return img + _NOISE_SIGMAS[idx] * rng.standard_normal(img.shape)
     if kind == "gauss_blur":
         sigma = min(_BLUR_SIGMAS[idx], float(img.shape[1]))
-        return heat_blur(img, 0.5 * sigma * sigma)
+        return heat_blur(img, dissipation_time(sigma))
     if kind == "contrast":
         mean = img.sum(axis=(0, 1)) / (img.shape[0] * img.shape[1])
         return mean + _CONTRAST_FACTORS[idx] * (img - mean)
@@ -184,23 +184,16 @@ def info_curve(
     grid = [float(t) for t in t_grid]
     if 0.0 not in grid:
         raise DataError("the temperature grid must contain t = 0")
-    # Row 0 is the t = 0 baseline, then one row per non-zero grid entry.
-    temps = [0.0] + [t for t in grid if t != 0.0]
-    taus = [dissipation_time(blur_sigma(t, cfg)) for t in temps]
-    sizes = np.empty((len(temps), len(stack)))
+    sizes = np.empty((len(grid), len(stack)))
     for start in range(0, len(stack), _INFO_CHUNK):
         chunk = stack[start : start + _INFO_CHUNK]
-        for row, tau in enumerate(taus):
-            pixels = quantize_for_png(heat_blur_stack(chunk, tau), stats)
+        for row, t in enumerate(grid):
+            pixels = quantize_for_png(blur_image(chunk, t, cfg), stats)
             sizes[row, start : start + len(chunk)] = [png_size(img) for img in pixels]
-    base, rows = sizes[0], iter(sizes[1:])
+    base = sizes[grid.index(0.0)]
     return [
-        InfoCurvePoint(
-            t=t,
-            sigma_b=blur_sigma(t, cfg),
-            mean_ratio=float(((base if t == 0.0 else next(rows)) / base).mean()),
-        )
-        for t in grid
+        InfoCurvePoint(t=t, sigma_b=blur_sigma(t, cfg), mean_ratio=float((row / base).mean()))
+        for t, row in zip(grid, sizes)
     ]
 
 
@@ -213,7 +206,7 @@ def spectral_delta(clean: Sequence[np.ndarray], corrupted: Sequence[np.ndarray])
     clean, corrupted = ensure_stack(clean), ensure_stack(corrupted)
     if len(clean) == 0 or clean.shape != corrupted.shape:
         raise DataError(f"need equal non-empty stacks, got {clean.shape} and {corrupted.shape}")
-    delta = np.abs(dct2d_stack(corrupted) - dct2d_stack(clean)).mean(axis=3)
+    delta = np.abs(dct2d(corrupted) - dct2d(clean)).mean(axis=3)
     return np.cumsum(delta, axis=0)[-1] / len(clean)
 
 

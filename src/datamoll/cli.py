@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def _parse_finite(text: str) -> float:
     return value
 
 
-def _parse_u64(text: str) -> int:
+def parse_u64(text: str) -> int:
     try:
         value = int(text)
         if 0 <= value < 2**64:
@@ -138,6 +139,16 @@ def _parse_u64(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+
+
+def parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_mode_probs(text: str) -> list[float]:
@@ -152,7 +163,7 @@ _F = {"type": _parse_finite, "metavar": "F"}
 _BOOL = {"type": _parse_bool, "metavar": "BOOL"}
 # The flags of each key; a flag's argparse dest is the name of the key it sets.
 _FLAGS = {
-    "seed": {"--seed": {"type": _parse_u64, "metavar": "U64", "help": "run seed"}},
+    "seed": {"--seed": {"type": parse_u64, "metavar": "U64", "help": "run seed"}},
     "dataset": {"--dataset": {"metavar": "PATH", "help": "MOL1 dataset path"}},
     "schedule": {
         **dict.fromkeys(("--k-noise", "--k-blur", "--beta-alpha", "--beta-beta"), _F),
@@ -306,6 +317,8 @@ def start_run(ns: argparse.Namespace) -> Run:
         schedule = ScheduleConfig(**s)
     if "train" in cfg:
         train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], **cfg["train"])
+    if cfg.get("bins", 1) < 1:
+        raise DataError(f"bins must be >= 1, got {cfg['bins']}")
     if "t_steps" in cfg:
         if cfg["t_steps"] < 2:
             raise DataError(f"t_steps must be >= 2, got {cfg['t_steps']}")
@@ -579,22 +592,27 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def exit_code(run: Callable[[], int]) -> int:
+    """``run()``, or the exit code of the library error it raises, printed as ``error: ...``."""
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if ns.command == "ingest":
-            return cmd_ingest(ns)
-        return _COMMANDS[ns.command](ns, start_run(ns))
+        return run()
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    if ns.command == "ingest":
+        return exit_code(lambda: cmd_ingest(ns))
+    return exit_code(lambda: _COMMANDS[ns.command](ns, start_run(ns)))
 
 
 def console_main() -> None:

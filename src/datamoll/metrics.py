@@ -136,12 +136,12 @@ def _report(preds: np.ndarray, num_bins: int) -> EvalReport:
 
 
 def evaluate(preds: np.ndarray, num_bins: int = 15) -> EvalReport:
-    """Overall report plus one sub-report per distinct tag."""
+    """Overall report plus one sub-report per tag when there are two or more tags."""
     _require_records(preds)
     report = _report(preds, num_bins)
     tags = preds["tag"]
     distinct = np.unique(tags)
-    if len(distinct) > 1 or distinct[0] != "":
+    if len(distinct) > 1:
         for tag in distinct:
             report.per_tag[str(tag)] = _report(preds[tags == tag], num_bins)
     return report

@@ -28,7 +28,7 @@ from .schedules import (
     sample_temperature,
 )
 from .streams import derive_seed, stream
-from .tensors import dct2d, dct2d_stack, ensure_image, ensure_stack, idct2d, idct2d_stack
+from .tensors import dct2d, ensure_image, ensure_image_or_stack, ensure_stack, idct2d
 
 
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
@@ -56,28 +56,18 @@ def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     return np.exp(-tau * _heat_rates(height, width))
 
 
-def heat_blur(img: np.ndarray, tau: float) -> np.ndarray:
-    """Evolve ``img`` under the heat equation for time ``tau`` (pixels^2)."""
-    img = ensure_image(img)
+def heat_blur(images: np.ndarray, tau: float) -> np.ndarray:
+    """Evolve an (H, W, C) image, or each image of an (N, H, W, C) stack, under
+    the heat equation for time ``tau`` (pixels^2)."""
+    images = ensure_image_or_stack(images)
     if tau == 0.0:
-        return img.copy()
-    mult = heat_multipliers(img.shape[0], img.shape[1], tau)
-    return idct2d(dct2d(img) * mult[:, :, None])
-
-
-def heat_blur_stack(stack: np.ndarray, tau: float) -> np.ndarray:
-    """:func:`heat_blur` of each image of an ``(N, H, W, C)`` stack, bit for bit.
-
-    Not validated: ``stack`` must be a finite float64 stack.
-    """
-    if tau == 0.0:
-        return stack.copy()
-    mult = heat_multipliers(stack.shape[1], stack.shape[2], tau)[None, :, :, None]
-    return idct2d_stack(dct2d_stack(stack) * mult)
+        return images.copy()
+    mult = heat_multipliers(images.shape[-3], images.shape[-2], tau)
+    return idct2d(dct2d(images) * mult[:, :, None])
 
 
 def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:
-    """Blur at the schedule's kernel scale for temperature ``t``."""
+    """:func:`heat_blur` of an image or a stack at the schedule's kernel scale for ``t``."""
     return heat_blur(img, dissipation_time(blur_sigma(t, cfg)))
 
 

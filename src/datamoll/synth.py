@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError
 from .mol1 import Mol1Dataset
 from .streams import stream
-from .tensors import compute_channel_stats, ensure_stack, idct2d_stack, radial_frequencies
+from .tensors import compute_channel_stats, ensure_stack, idct2d, radial_frequencies
 
 
 # The amplitude spectrum of fractal textures falls off as 1/f^_FRACTAL_EXPONENT.
@@ -39,7 +39,7 @@ def fractal_textures(count: int, height: int = 32, width: int = 32, seed: int = 
     amplitude = (radial_frequencies(height, width) + floor) ** (-_FRACTAL_EXPONENT)
     amplitude[0, 0] = 0.0  # no DC component; brightness is set afterwards
     coefs = rng.standard_normal((count, height, width)) * amplitude
-    imgs = idct2d_stack(coefs[:, :, :, None])[:, :, :, 0]
+    imgs = idct2d(coefs[:, :, :, None])[:, :, :, 0]
     mean = imgs.mean(axis=(1, 2), keepdims=True)
     spread = imgs.std(axis=(1, 2), keepdims=True)
     spread[spread == 0] = 1.0

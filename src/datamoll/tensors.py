@@ -100,31 +100,25 @@ def compute_channel_stats(dataset: Sequence[np.ndarray] | np.ndarray) -> Channel
     return ChannelStats(mean=mean, std=std)
 
 
-def dct2d_stack(images: np.ndarray) -> np.ndarray:
+def ensure_image_or_stack(images: np.ndarray) -> np.ndarray:
+    """:func:`ensure_stack` of an (N, H, W, C) stack, else :func:`ensure_image`."""
+    return ensure_stack(images) if np.ndim(images) == 4 else ensure_image(images)
+
+
+def dct2d(images: np.ndarray) -> np.ndarray:
     """Orthonormal type-II DCT along height then width, per channel.
 
-    ``images`` is one (H, W, C) image or an (N, H, W, C) stack; each image
-    is transformed on its own, with the same arithmetic either way.  Not
-    validated: ``images`` must be finite float64.
+    ``images`` is one (H, W, C) image or an (N, H, W, C) stack, validated;
+    each image is transformed on its own, with the same arithmetic either way.
     """
-    out = dct(images, type=2, norm="ortho", axis=-3)
+    out = dct(ensure_image_or_stack(images), type=2, norm="ortho", axis=-3)
     return dct(out, type=2, norm="ortho", axis=-2)
 
 
-def idct2d_stack(grid: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dct2d_stack` up to floating-point roundoff; not validated."""
-    out = idct(grid, type=2, norm="ortho", axis=-2)
-    return idct(out, type=2, norm="ortho", axis=-3)
-
-
-def dct2d(img: np.ndarray) -> np.ndarray:
-    """:func:`dct2d_stack` of one (H, W, C) image, validated."""
-    return dct2d_stack(ensure_image(img))
-
-
 def idct2d(grid: np.ndarray) -> np.ndarray:
-    """:func:`idct2d_stack` of one (H, W, C) grid, validated."""
-    return idct2d_stack(ensure_image(grid))
+    """Exact inverse of :func:`dct2d` up to floating-point roundoff."""
+    out = idct(ensure_image_or_stack(grid), type=2, norm="ortho", axis=-2)
+    return idct(out, type=2, norm="ortho", axis=-3)
 
 
 def radial_frequencies(height: int, width: int) -> np.ndarray:

@@ -211,12 +211,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
 
 
 def predict_batch(params: MlpParams, dataset: Mol1Dataset, tag: str = "") -> np.recarray:
-    """Predictions for every example of a dataset whose size matches the weights."""
+    """Predictions for every example of a dataset whose size and classes match the weights."""
     input_dim = dataset.height * dataset.width * dataset.channels
     if input_dim != params.w1.shape[1]:
         raise DataError(
             f"dataset dimension {input_dim} does not match weights ({params.w1.shape[1]})"
         )
+    if dataset.num_classes != len(params.b2):
+        raise DataError(f"dataset has {dataset.num_classes} classes, the weights {len(params.b2)}")
     return predict_records(params, dataset.images, dataset.labels, tag)
 
 
@@ -285,6 +287,8 @@ def load_params(path: str | Path) -> tuple[MlpParams, dict]:
     for name, shape in shapes.items():
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path} holds non-finite values in {name!r}")
         arrays[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
     return MlpParams(**arrays), header

@@ -243,21 +243,20 @@ def normalizer_quadrature(f: np.ndarray, points: int = 10_000) -> float:
 def brute_force_ece(records, num_bins: int) -> float:
     """Per-bin loop over records; bin b covers ((b-1)/B, b/B], 0 -> bin 1."""
     n = len(records)
+    # Each record's confidence and hit, computed once rather than once per bin.
+    scored = [(float(np.max(r.probs)), int(np.argmax(r.probs)) == r.true_class) for r in records]
     total = 0.0
     for b in range(1, num_bins + 1):
         lo = (b - 1) / num_bins
         hi = b / num_bins
         members = []
-        for r in records:
-            conf = float(np.max(r.probs))
+        for conf, hit in scored:
             if (lo < conf <= hi) or (b == 1 and conf == 0.0):
-                members.append(r)
+                members.append((conf, hit))
         if not members:
             continue
-        acc = sum(
-            1.0 for r in members if int(np.argmax(r.probs)) == r.true_class
-        ) / len(members)
-        conf_mean = sum(float(np.max(r.probs)) for r in members) / len(members)
+        acc = sum(1.0 for _, hit in members if hit) / len(members)
+        conf_mean = sum(conf for conf, _ in members) / len(members)
         total += (len(members) / n) * abs(acc - conf_mean)
     return total
 

@@ -707,6 +707,38 @@ class TestBadFileFields:
     def test_intact_files_evaluate(self, files, tmp_path):
         assert self._eval(*files, tmp_path) == 0
 
+    def test_non_finite_weight_names_the_file(self, files, tmp_path, capsys):
+        data, params = files
+        w2 = np.zeros((4, 8))
+        w2[1, 2] = np.inf
+        save_params(MlpParams(np.zeros((8, 256)), np.zeros(8), w2, np.zeros(4)), params, 0, "inf")
+        assert self._eval(data, params, tmp_path) == 3
+        assert capsys.readouterr().err == f"error: {params} holds non-finite values in 'w2'\n"
+
+    @pytest.mark.parametrize("classes", [3, 6])
+    def test_class_count_mismatch_names_both_counts(self, files, tmp_path, capsys, classes):
+        data, params = files
+        w2, b2 = np.zeros((classes, 8)), np.zeros(classes)
+        save_params(MlpParams(np.zeros((8, 256)), np.zeros(8), w2, b2), params, 0, "classes")
+        assert self._eval(data, params, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: dataset has 4 classes, the weights {classes}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_bins_rejected_before_the_run_starts(self, files, tmp_path, capsys, source):
+        data, params = files
+        out = tmp_path / "e"
+        args = ["eval", str(params), "--dataset", str(data), "--out", str(out)]
+        if source == "flag":
+            args += ["--bins", "0"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text('{"bins": 0}')
+            args += ["--config", str(config)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "error: bins must be >= 1, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["mean", "std"])
     def test_manifest_without_field(self, files, tmp_path, capsys, field):
         data, params = files

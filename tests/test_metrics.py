@@ -143,6 +143,11 @@ class TestEvaluateAndIo:
         table = format_report_table(rep)
         assert "clean" in table and "noisy" in table
 
+    def test_one_tag_gets_no_copy_of_the_report(self):
+        rep = evaluate(repeated([0.9, 0.1], 0, 4, "clean"))
+        assert rep.per_tag == {} and "per_tag" not in rep.to_dict()
+        assert format_report_table(rep, title="clean").count("clean") == 1
+
     def test_invariants_of_report(self):
         rng = np.random.default_rng(9)
         rep = evaluate(random_records(rng, 40))

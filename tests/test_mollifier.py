@@ -9,14 +9,13 @@ from datamoll.mollifier import (
     _heat_rates,
     blur_image,
     heat_blur,
-    heat_blur_stack,
     heat_multipliers,
     mollify_batch,
     noise_image,
 )
 from datamoll.schedules import ScheduleConfig, blur_sigma, dissipation_time, gamma_blur, gamma_noise
 from datamoll.streams import stream
-from datamoll.tensors import dct2d
+from datamoll.tensors import dct2d, idct2d
 from tests.oracles import closed_form_heat_multipliers
 
 
@@ -61,12 +60,11 @@ class TestBlur:
             heat_multipliers(4, 4, math.nan)
 
     def test_infinite_tau_rejected_by_both_blurs(self):
-        # exp(-inf * 0) is NaN at DC: the single blur failed in the DCT's input
-        # check and the stack blur returned NaN images.
+        # exp(-inf * 0) is NaN at DC, which must not reach an image or a stack.
         with pytest.raises(ValueError, match="finite and non-negative, got inf"):
             heat_blur(np.ones((4, 4, 1)), math.inf)
         with pytest.raises(ValueError, match="finite and non-negative, got inf"):
-            heat_blur_stack(np.ones((2, 4, 4, 1)), math.inf)
+            heat_blur(np.ones((2, 4, 4, 1)), math.inf)
 
     def test_zero_tau_identity(self):
         img = np.random.default_rng(4).standard_normal((8, 8, 2))
@@ -141,14 +139,25 @@ class TestBlur:
         stack = np.random.default_rng(h * w).standard_normal((5,) + shape)
         for tau in taus:
             expected = np.stack([heat_blur(img, tau) for img in stack])
-            assert np.array_equal(heat_blur_stack(stack, tau), expected)
-            assert np.array_equal(heat_blur_stack(np.asfortranarray(stack), tau), expected)
+            assert np.array_equal(heat_blur(stack, tau), expected)
+            assert np.array_equal(heat_blur(np.asfortranarray(stack), tau), expected)
 
     def test_stack_at_zero_tau_is_a_copy(self):
         stack = np.ones((2, 4, 4, 1))
-        out = heat_blur_stack(stack, 0.0)
+        out = heat_blur(stack, 0.0)
         out[:] = 0.0
         assert np.all(stack == 1.0)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [lambda s: heat_blur(s, 0.0), lambda s: heat_blur(s, 1.5), dct2d, idct2d],
+        ids=["heat_blur-0", "heat_blur-1.5", "dct2d", "idct2d"],
+    )
+    def test_stack_holding_nan_rejected(self, transform):
+        stack = np.ones((3, 4, 4, 2))
+        stack[1, 2, 3, 0] = np.nan
+        with pytest.raises(DataError, match="^images contain non-finite values$"):
+            transform(stack)
 
     def test_non_square_supported(self, cfg):
         img = np.random.default_rng(10).standard_normal((8, 16, 1))

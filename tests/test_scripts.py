@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import datamoll
 from datamoll.mol1 import load_mol1
@@ -15,7 +16,7 @@ from datamoll.study import texture_splits
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     src = str(Path(datamoll.__file__).resolve().parent.parent)
     env = dict(
         os.environ,
@@ -25,8 +26,9 @@ def run_script(name, *args):
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc
 
 
 def test_make_datasets_writes_loadable_containers(tmp_path):
@@ -53,3 +55,28 @@ def test_robustness_study_writes_summary(tmp_path):
     )
     summary = json.loads(out.read_text())
     assert "relative_error_reduction" in summary
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("make_datasets.py", "--seed", "-1"),
+        ("make_datasets.py", "--train-count", "0"),
+        ("robustness_study.py", "--seeds", "0,-1"),
+        ("robustness_study.py", "--epochs", "0"),
+    ],
+)
+def test_bad_option_is_a_usage_error_naming_it(tmp_path, name, flag, value):
+    proc = run_script(name, "--out", str(tmp_path / "out"), flag, value, code=2)
+    assert f"error: argument {flag}: " in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_failure_is_exit_3_without_a_traceback(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    proc = run_script(
+        "make_datasets.py", "--out", str(out),
+        "--train-count", "4", "--test-count", "4", "--fractal-count", "2", code=3,
+    )
+    assert proc.stderr.startswith("error: ")
