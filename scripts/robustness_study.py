@@ -15,16 +15,33 @@ error, 4 numerical failure.
 """
 
 import argparse
-import json
+import errno
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 from datamoll.cli import exit_code, parse_positive_int, parse_u64
-from datamoll.ioutil import write_text
-from datamoll.study import aggregate, run_study
+from datamoll.ioutil import write_json
+from datamoll.study import TEST_COUNT, TRAIN_COUNT, aggregate, run_study
+from datamoll.trainer import TrainConfig
 
 
 def _parse_seeds(text: str) -> list[int]:
     return [parse_u64(s) for s in text.split(",")]
+
+
+def _check_writable(path: Path) -> None:
+    """Raise OSError unless a file can be written at ``path``: it is no directory,
+    and a temp file can be made and removed in its parent, or in the nearest
+    existing ancestor where the parent is yet to be made."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    parent = path.parent
+    while not parent.exists():
+        parent = parent.parent
+    with tempfile.NamedTemporaryFile(dir=parent):
+        pass
 
 
 def main() -> int:
@@ -32,11 +49,13 @@ def main() -> int:
     parser.add_argument(
         "--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seed list"
     )
-    parser.add_argument("--epochs", type=parse_positive_int, default=100)
-    parser.add_argument("--train-count", type=parse_positive_int, default=4096)
-    parser.add_argument("--test-count", type=parse_positive_int, default=1024)
+    parser.add_argument("--epochs", type=parse_positive_int, default=TrainConfig.epochs)
+    parser.add_argument("--train-count", type=parse_positive_int, default=TRAIN_COUNT)
+    parser.add_argument("--test-count", type=parse_positive_int, default=TEST_COUNT)
     parser.add_argument("--out", default=None, help="optional JSON output path")
     args = parser.parse_args()
+    if args.out:
+        _check_writable(Path(args.out))
 
     results = []
     print(f"{'seed':>4}  {'arm':<9}  {'clean':>6}  {'corr':>6}  {'ece':>6}  {'nll':>6}")
@@ -64,7 +83,7 @@ def main() -> int:
     print(f"mean corrupted ECE:   {summary['baseline_corrupted_ece']:.3f} -> "
           f"{summary['mollified_corrupted_ece']:.3f}")
     if args.out:
-        write_text(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, summary)
         print(f"summary written to {args.out}")
     return 0
 

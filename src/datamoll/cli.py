@@ -6,17 +6,18 @@ mollified copy of a dataset), ``train``, ``eval`` (clean and, optionally,
 the 4-corruption x 5-severity grid), ``infocurve`` (PNG compression ratios
 over blur temperatures), and ``spectra`` (per-corruption DCT change grids).
 
-``_READS`` names the top-level config keys each command but ``ingest``
-(which reads no setting) reads.  They fix the command's flags, and only
-they are echoed into the output directory's ``run.json`` and hashed into
-its config hash, which takes the dataset by content, not by path.  All
-commands write outputs atomically.  Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical failure.
+``_COMMANDS`` gives each command but ``ingest`` (which reads no setting)
+its handler and the top-level config keys it reads.  Those keys fix the
+command's flags, and only they are echoed into the output directory's
+``run.json`` and hashed into its config hash, which takes the dataset by
+content, not by path.  All commands write outputs atomically.  Exit codes:
+0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import io
@@ -40,8 +41,8 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import write_csv, write_text
-from .metrics import evaluate, format_report_table, write_records_csv
+from .ioutil import read_json_object, write_csv, write_json, write_text
+from .metrics import ECE_BINS, evaluate, format_report_table, write_records_csv
 from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
 from .schedules import (
@@ -68,18 +69,6 @@ from .trainer import (
 DEFAULT_SIGMA_MAX = 32.0
 _SPECTRA_SEVERITY = 3
 
-# The top-level config keys each command reads.  They pick the command's
-# flags, and only they go into run.json and the config hash; a shared
-# config file may set the other keys too.
-_READS = {
-    "schedule-dump": ("schedule", "t_steps"),
-    "mollify": ("seed", "dataset", "schedule"),
-    "train": ("seed", "dataset", "schedule", "train"),
-    "eval": ("seed", "dataset", "bins", "corruptions"),
-    "infocurve": ("dataset", "schedule", "t_steps"),
-    "spectra": ("seed", "dataset"),
-}
-
 
 def _field_defaults(cls) -> dict:
     """Field defaults of a config dataclass as JSON values (None where none)."""
@@ -101,7 +90,7 @@ _DEFAULTS: dict = {
         for name, value in _field_defaults(TrainConfig).items()
         if name not in ("schedule", "seed")
     },
-    "bins": 15,
+    "bins": ECE_BINS,
     "corruptions": False,
     "t_steps": 11,
 }
@@ -192,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src", help="directory of .csv/.raw images, or a MOL1 file to re-ingest")
     p.add_argument("--out", metavar="PATH", required=True, help="MOL1 output path")
 
-    for command, keys in _READS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+    for command, (handler, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         if command == "eval":
             p.add_argument("params", help="parameter file written by train")
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
@@ -204,32 +193,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def _check_config(value, default, path: str) -> None:
-    """Raise DataError unless ``value`` has the keys and types of ``default``."""
+def _check_config(value, default, path: str):
+    """``value`` laid over ``default``; a DataError unless it has the keys and types of
+    ``default``.  The result shares no dict or list with ``default``."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise DataError(f"config key {path!r} must be an object")
+        out = copy.deepcopy(default)
         for key, item in value.items():
             sub = f"{path}.{key}" if path else key
             if key not in default:
                 raise DataError(f"unknown config key {sub!r}")
-            _check_config(item, default[key], sub)
-    elif isinstance(default, list):
+            out[key] = _check_config(item, default[key], sub)
+        return out
+    if isinstance(default, list):
         if not isinstance(value, list):
             raise DataError(f"config key {path!r} must be a list")
-        for i, item in enumerate(value):
-            _check_config(item, default[0], f"{path}[{i}]")
-    elif not (value is None and default is None):
+        return [_check_config(item, default[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if not (value is None and default is None):
         expected = _NULLABLE[path.split(".")[-1]] if default is None else type(default)
         if type(value) not in _ACCEPTED[expected]:
             raise DataError(
@@ -239,30 +220,19 @@ def _check_config(value, default, path: str) -> None:
             raise DataError(f"config key {path!r} must be finite, got {value!r}")
         if path == "seed" and not 0 <= value < 2**64:
             raise DataError(f"config key 'seed' must lie in [0, 2**64), got {value!r}")
-
-
-def _read_json_object(path: Path) -> dict:
-    """The JSON object in ``path``; other content is a DataError naming the file."""
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(value, dict):
-        raise DataError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value
 
 
 def effective_config(ns: argparse.Namespace) -> dict:
     """The keys ``ns.command`` reads: defaults, overlaid by the config file, then by flags."""
-    cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
+    loaded = {}
     if ns.config:
         path = Path(ns.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
-        loaded = _read_json_object(path)
-        _check_config(loaded, _DEFAULTS, "")
-        cfg = _merge(cfg, loaded)
-    cfg = {key: cfg[key] for key in _READS[ns.command]}
+        loaded = read_json_object(path)
+    cfg = _check_config(loaded, _DEFAULTS, "")
+    cfg = {key: cfg[key] for key in _COMMANDS[ns.command][1]}
     for section in (cfg, *(value for value in cfg.values() if isinstance(value, dict))):
         for key in section:
             value = getattr(ns, key, None)
@@ -339,7 +309,7 @@ def start_run(ns: argparse.Namespace) -> Run:
         "config": cfg,
     }
     meta = {key: value for key, value in meta.items() if value is not None}
-    write_text(run.out / "run.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(run.out / "run.json", meta)
     return run
 
 
@@ -348,7 +318,7 @@ def start_run(ns: argparse.Namespace) -> Run:
 
 def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
     """The positive integers under ``keys`` in the JSON object of ``shape_file``."""
-    shape = _read_json_object(shape_file)
+    shape = read_json_object(shape_file)
     values = [shape.get(key) for key in keys]
     for key, value in zip(keys, values):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -384,6 +354,8 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
             raise DataError(f"{where}: bad label {row[1]!r}") from None
         if labels[name] < 0:
             raise DataError(f"{where}: label {labels[name]} is negative")
+        if labels[name] > 2**32 - 2:  # the class count, label + 1, is a MOL1 u32
+            raise DataError(f"{where}: label {labels[name]} is above {2**32 - 2}")
     return labels
 
 
@@ -536,7 +508,7 @@ def cmd_eval(ns: argparse.Namespace, run: Run) -> int:
     payload = {"config_hash": run.config_hash, "seed": cfg["seed"], "clean": clean_report.to_dict()}
     if corrupted_report is not None:
         payload["corrupted"] = corrupted_report.to_dict()
-    write_text(run.out / "eval.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(run.out / "eval.json", payload)
     text = format_report_table(clean_report, title="clean")
     if corrupted_report is not None:
         text += "\n" + format_report_table(corrupted_report, title="corrupted(all)")
@@ -581,14 +553,17 @@ def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
     return 0
 
 
-# The commands that read settings; their docstrings are their help lines.
+# Each command that reads settings: its handler, whose docstring is its help
+# line, and the top-level config keys it reads.  The keys pick the command's
+# flags, and only they go into run.json and the config hash; a shared config
+# file may set the other keys too.
 _COMMANDS = {
-    "schedule-dump": cmd_schedule_dump,
-    "mollify": cmd_mollify,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "infocurve": cmd_infocurve,
-    "spectra": cmd_spectra,
+    "schedule-dump": (cmd_schedule_dump, ("schedule", "t_steps")),
+    "mollify": (cmd_mollify, ("seed", "dataset", "schedule")),
+    "train": (cmd_train, ("seed", "dataset", "schedule", "train")),
+    "eval": (cmd_eval, ("seed", "dataset", "bins", "corruptions")),
+    "infocurve": (cmd_infocurve, ("dataset", "schedule", "t_steps")),
+    "spectra": (cmd_spectra, ("seed", "dataset")),
 }
 
 
@@ -612,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     if ns.command == "ingest":
         return exit_code(lambda: cmd_ingest(ns))
-    return exit_code(lambda: _COMMANDS[ns.command](ns, start_run(ns)))
+    return exit_code(lambda: _COMMANDS[ns.command][0](ns, start_run(ns)))
 
 
 def console_main() -> None:

@@ -1,33 +1,53 @@
-"""Atomic file-writing helpers (temp file in the target directory + rename),
-and the one writer of the package's CSV tables."""
+"""Atomic file writes (temp file in the target directory + rename), and the
+one writer of the package's CSV tables and JSON files and reader of its JSON."""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 
 def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a new temp file, renamed to ``path``; it gets the mode
+    ``open(path, "w")`` gives a new file, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def write_text(path: str | Path, text: str) -> None:
     write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` as JSON indented by 2, keys sorted, with a final newline."""
+    write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def read_json_object(path: Path) -> dict:
+    """The JSON object in ``path``; other content is a DataError naming the file."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise DataError(f"{path} must hold a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _quote(text: str, alone: bool) -> str:

@@ -22,6 +22,7 @@ from .errors import DataError
 from .ioutil import write_csv
 
 NLL_FLOOR = 1e-12
+ECE_BINS = 15  # the default number of calibration bins
 
 
 def predictions(probs, true_class, tag="") -> np.recarray:
@@ -82,7 +83,7 @@ def avg_nll(preds: np.ndarray) -> float:
     return (0.0 - float(np.cumsum(logs)[-1])) / len(preds)
 
 
-def ece(preds: np.ndarray, num_bins: int = 15) -> float:
+def ece(preds: np.ndarray, num_bins: int = ECE_BINS) -> float:
     """Expected calibration error over equal-width confidence bins.
 
     Bin b covers ((b-1)/num_bins, b/num_bins]; a confidence of exactly 0
@@ -135,7 +136,7 @@ def _report(preds: np.ndarray, num_bins: int) -> EvalReport:
     )
 
 
-def evaluate(preds: np.ndarray, num_bins: int = 15) -> EvalReport:
+def evaluate(preds: np.ndarray, num_bins: int = ECE_BINS) -> EvalReport:
     """Overall report plus one sub-report per tag when there are two or more tags."""
     _require_records(preds)
     report = _report(preds, num_bins)

@@ -10,7 +10,6 @@ standardize the pixels and a free-form provenance string.
 from __future__ import annotations
 
 import contextlib
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import write_bytes, write_text
+from .ioutil import read_json_object, write_bytes, write_json
 from .tensors import ChannelStats, ensure_stack
 
 MAGIC = b"MOL1"
@@ -89,12 +88,12 @@ def save_mol1(dataset: Mol1Dataset, path: str | Path) -> None:
         "std": [float(v) for v in dataset.stats.std],
         "provenance": dataset.provenance,
     }
-    write_text(manifest_path(path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path(path), manifest)
 
 
-def _manifest_numbers(manifest, key: str, mpath: Path) -> np.ndarray:
+def _manifest_numbers(manifest: dict, key: str, mpath: Path) -> np.ndarray:
     """The manifest's ``key`` field, which must be a list of JSON numbers."""
-    if not isinstance(manifest, dict) or key not in manifest:
+    if key not in manifest:
         raise DataError(f"manifest {mpath} has no {key!r} field")
     value = manifest[key]
     if isinstance(value, list) and all(type(v) in (int, float) for v in value):
@@ -125,10 +124,7 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
-    try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except ValueError:
-        raise DataError(f"manifest {mpath} is not valid JSON") from None
+    manifest = read_json_object(mpath)
     stats = ChannelStats(
         mean=_manifest_numbers(manifest, "mean", mpath),
         std=_manifest_numbers(manifest, "std", mpath),

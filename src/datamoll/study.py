@@ -25,9 +25,10 @@ _TAG_TRAIN_DATA = 101
 _TAG_TEST_DATA = 102
 _TAG_CORRUPTIONS = 103
 
-# The study's images: 16x16 pixels, 4 classes.
+# The study's images: 16x16 pixels, 4 classes, 4096 to train on and 1024 to test.
 HEIGHT = WIDTH = 16
 NUM_CLASSES = 4
+TRAIN_COUNT, TEST_COUNT = 4096, 1024
 
 # The TrainConfig settings of each arm, over the defaults.  The baseline pins
 # its loss: unmollified, every smoothed label is one-hot, so it trains with
@@ -42,7 +43,7 @@ StudyResult = dict[str, dict[str, EvalReport]]
 
 
 def texture_splits(
-    seed: int, train_count: int = 4096, test_count: int = 1024
+    seed: int, train_count: int = TRAIN_COUNT, test_count: int = TEST_COUNT
 ) -> tuple[Mol1Dataset, Mol1Dataset]:
     """The study's train and test texture splits, both standardized with the train statistics."""
     raw_train, labels_train = grating_dataset(
@@ -62,7 +63,8 @@ def texture_splits(
 
 
 def run_study(
-    seed: int, train_count: int = 4096, test_count: int = 1024, epochs: int = 100
+    seed: int, train_count: int = TRAIN_COUNT, test_count: int = TEST_COUNT,
+    epochs: int = TrainConfig.epochs,
 ) -> StudyResult:
     """Train one model per arm of ``ARMS`` and evaluate it clean and on the corruption grid."""
     ds_train, ds_test = texture_splits(seed, train_count, test_count)

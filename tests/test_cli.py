@@ -157,8 +157,17 @@ class TestIngest:
             ("a.csv,0\nb.csv,0\na.csv,1\n", "0,0\n0,0\n", "labels.csv row 3: a.csv is listed twice"),
             ("a.csv,-1\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label -1 is negative"),
             ("a.csv,0\nb.csv,1\n", "0,x\n0,0\n", "a.csv"),
+            # The class count, label + 1, must fit MOL1's u32 header field.
+            ("a.csv,4294967295\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label 4294967295"),
+            (
+                "a.csv,0\nb.csv,99999999999999999999\n", "0,0\n0,0\n",
+                "labels.csv row 2: label 99999999999999999999 is above 4294967294",
+            ),
         ],
-        ids=["duplicate-label", "negative-label", "non-integer-pixel"],
+        ids=[
+            "duplicate-label", "negative-label", "non-integer-pixel", "label-past-u32",
+            "label-past-int64",
+        ],
     )
     def test_bad_labels_and_pixels_name_file_and_row(
         self, tmp_path, capsys, labels, pixels, named
@@ -662,6 +671,16 @@ class TestConfigSchema:
         assert _DEFAULTS["schedule"]["mode_probs"] == list(ScheduleConfig.mode_probs)
         assert _DEFAULTS["schedule"]["sigma_max"] is None
 
+    @pytest.mark.parametrize("config", [None, {"seed": 3}, {"schedule": {"k_noise": 2.0}}])
+    def test_runs_leave_the_defaults_as_they_were(self, tmp_path, config):
+        before = json.dumps(_DEFAULTS)
+        argv = ["schedule-dump", "--out", str(tmp_path / "o"), "--k-blur", "3"]
+        if config is not None:
+            argv += ["--config", _write_config(tmp_path / "c.json", config)]
+        assert main(argv) == 0
+        assert _run_json(tmp_path / "o")["config"]["schedule"]["sigma_max"] == 32.0
+        assert json.dumps(_DEFAULTS) == before
+
     @settings(max_examples=150, deadline=None)
     @given(
         path=st.sampled_from(
@@ -766,7 +785,10 @@ class TestBadFileFields:
         manifest = Path(str(data) + ".json")
         manifest.write_text("{mean")
         assert self._eval(data, params, tmp_path) == 3
-        assert str(manifest) in capsys.readouterr().err
+        assert f"{manifest} is not JSON: " in capsys.readouterr().err
+        manifest.write_text("[1, 2]")
+        assert self._eval(data, params, tmp_path) == 3
+        assert f"{manifest} must hold a JSON object" in capsys.readouterr().err
 
     @staticmethod
     def _edit_header(params, edit):

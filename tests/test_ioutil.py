@@ -1,10 +1,13 @@
 import csv
 import io
+import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from datamoll.ioutil import write_csv
+from datamoll.ioutil import read_json_object, write_bytes, write_csv, write_json
 
 TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
 INTS = list(range(-3, len(TEXTS) - 3))
@@ -50,3 +53,24 @@ def test_columns_must_match_the_header_and_each_other(tmp_path, columns):
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], columns)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_written_file_gets_the_mode_open_would_give(tmp_path, umask, mode):
+    path = tmp_path / "f.bin"
+    old = os.umask(umask)
+    try:
+        write_bytes(path, b"data")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+def test_json_round_trips_in_the_one_file_layout(tmp_path):
+    path = tmp_path / "v.json"
+    value = {"b": [1, 0.5], "a": {"z": None, "y": "é"}}
+    write_json(path, value)
+    assert path.read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+    assert read_json_object(path) == value
+

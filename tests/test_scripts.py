@@ -57,6 +57,15 @@ def test_robustness_study_writes_summary(tmp_path):
     assert "relative_error_reduction" in summary
 
 
+def test_robustness_study_rejects_an_unwritable_out_before_training(tmp_path):
+    proc = run_script(
+        "robustness_study.py", "--seeds", "0", "--epochs", "1",
+        "--train-count", "64", "--test-count", "32", "--out", str(tmp_path), code=3,
+    )
+    assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert "baseline" not in proc.stdout
+
+
 @pytest.mark.parametrize(
     "name, flag, value",
     [
