@@ -13,7 +13,6 @@ to radial-frequency annuli.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -25,7 +24,7 @@ from .mollifier import blur_image, heat_blur
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma, dissipation_time
 from .streams import stream
-from .tensors import ChannelStats, dct2d, ensure_image, ensure_stack, radial_frequencies
+from .tensors import ChannelStats, dct2d, ensure_stack, radial_frequencies
 
 CORRUPTION_KINDS = ("gauss_noise", "gauss_blur", "contrast", "pixelate")
 
@@ -91,9 +90,10 @@ def corrupt(
 ) -> np.ndarray:
     """Apply one of the built-in test-time corruptions at severity 1..5.
 
-    Corruptions act on standardized images; ``gauss_noise`` needs ``rng``.
+    ``img`` is one finite float64 (H, W, C) image, as :func:`corruption_cell`
+    passes it; it is not checked again here.  Corruptions act on
+    standardized images; ``gauss_noise`` needs ``rng``.
     """
-    img = ensure_image(img)
     idx = _severity_index(severity)
     if kind == "gauss_noise":
         if rng is None:
@@ -219,6 +219,8 @@ def annulus_means(grid: np.ndarray, num_bands: int = 8) -> tuple[np.ndarray, np.
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise DataError(f"expected a 2-D grid, got shape {grid.shape}")
+    if grid.size < 2:
+        raise DataError(f"a {grid.shape} DCT grid has no coefficient besides DC")
     radius = radial_frequencies(*grid.shape)
     mask = ~((np.arange(grid.shape[0])[:, None] == 0) & (np.arange(grid.shape[1])[None, :] == 0))
     r = radius[mask]
@@ -232,38 +234,3 @@ def annulus_means(grid: np.ndarray, num_bands: int = 8) -> tuple[np.ndarray, np.
         if members.any():
             means[b] = v[members].mean()
     return centers, means
-
-
-def exp_decay_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit of log(y) = a + rate*x; returns (rate, R^2).
-
-    All ``y`` must be positive; R^2 is computed on the log scale.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 3:
-        raise ValueError("need matching vectors with at least 3 points")
-    if np.any(y <= 0):
-        raise ValueError("y values must be positive for a log-linear fit")
-    logy = np.log(y)
-    design = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    resid = logy - design @ coef
-    total = logy - logy.mean()
-    ss_tot = float(total @ total)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(resid @ resid) / ss_tot
-    return float(coef[1]), r2
-
-
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
-        raise ValueError("need matching vectors with at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0:
-        raise ValueError("correlation undefined for constant input")
-    return float(xc @ yc) / denom

@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -364,7 +365,12 @@ def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     or a .csv grid with ``shape[-1]`` channels per pixel."""
     try:
         if path.suffix == ".csv":
-            grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            with warnings.catch_warnings():
+                # An empty grid is reported below, as a file without pixels.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            if grid.size == 0:
+                raise ValueError("no pixels")
             image = grid.reshape(grid.shape[0], -1, shape[-1])
         else:
             image = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(shape)
@@ -542,8 +548,8 @@ def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
     for kind in CORRUPTION_KINDS:
         corrupted = corruption_cell(images, kind, _SPECTRA_SEVERITY, run.cfg["seed"])
         grid = spectral_delta(images, corrupted)
-        write_csv(run.out / f"spectral_{kind}.csv", [f"w{j}" for j in range(grid.shape[1])], grid.T)
         centers, means = annulus_means(grid)
+        write_csv(run.out / f"spectral_{kind}.csv", [f"w{j}" for j in range(grid.shape[1])], grid.T)
         annuli.append(([kind] * len(centers), np.arange(len(centers)), centers, means))
     write_csv(
         run.out / "spectra_annuli.csv",

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (double sums, per-record loops,
 plain quadrature) and kept separate from the library code paths it
-checks.
+checks.  ``exp_decay_fit`` and ``pearson`` are the statistics the
+acceptance criteria judge the library's outputs by.
 """
 
 from __future__ import annotations
@@ -318,3 +319,38 @@ def max_rel_gradient_error(analytic: dict, numeric: dict) -> float:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst
+
+
+def exp_decay_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares fit of log(y) = a + rate*x; returns (rate, R^2).
+
+    All ``y`` must be positive; R^2 is computed on the log scale.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 3:
+        raise ValueError("need matching vectors with at least 3 points")
+    if np.any(y <= 0):
+        raise ValueError("y values must be positive for a log-linear fit")
+    logy = np.log(y)
+    design = np.stack([np.ones_like(x), x], axis=1)
+    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
+    resid = logy - design @ coef
+    total = logy - logy.mean()
+    ss_tot = float(total @ total)
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(resid @ resid) / ss_tot
+    return float(coef[1]), r2
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation coefficient of two equal-length vectors."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 2:
+        raise ValueError("need matching vectors with at least 2 points")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    if denom == 0:
+        raise ValueError("correlation undefined for constant input")
+    return float(xc @ yc) / denom

@@ -15,9 +15,7 @@ import pytest
 from datamoll.analysis import (
     annulus_means,
     corrupt,
-    exp_decay_fit,
     info_curve,
-    pearson,
     spectral_delta,
 )
 from datamoll.labels import dirichlet_log_density, soft_labels
@@ -33,12 +31,14 @@ from datamoll.tensors import compute_channel_stats, dct2d, idct2d
 from datamoll.trainer import MlpParams, loss_and_grad
 from tests.oracles import (
     brute_force_ece,
+    exp_decay_fit,
     finite_difference_grads,
     integrate_simplex_2d,
     integrate_unit_interval,
     max_rel_gradient_error,
     naive_dct2,
     normalizer_quadrature,
+    pearson,
 )
 
 

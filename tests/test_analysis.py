@@ -12,9 +12,7 @@ from datamoll.analysis import (
     annulus_means,
     corrupt,
     corruption_cell,
-    exp_decay_fit,
     info_curve,
-    pearson,
     quantize_for_png,
     spectral_delta,
 )
@@ -24,11 +22,13 @@ from datamoll.streams import stream
 from datamoll.synth import fractal_textures
 from datamoll.tensors import ChannelStats, compute_channel_stats
 from tests.oracles import (
+    exp_decay_fit,
     kernel_inputs,
     loop_spectral_delta,
     mean_contrast,
     mean_pixelate,
     naive_pixelate,
+    pearson,
 )
 
 
@@ -128,6 +128,14 @@ class TestCorruptionCell:
     def test_three_d_stack_names_its_shape(self):
         with pytest.raises(DataError, match=r"\(4, 8, 8\)"):
             corruption_cell(np.zeros((4, 8, 8)), "contrast", 2, seed=0)
+
+    def test_one_nan_pixel_is_a_data_error(self):
+        # The cell's stack check is the only scan of its rows; corrupt trusts them.
+        stack = np.zeros((3, 8, 8, 1))
+        stack[2, 5, 1, 0] = np.nan
+        for kind in CORRUPTION_KINDS:
+            with pytest.raises(DataError, match="non-finite"):
+                corruption_cell(stack, kind, 2, seed=0)
 
     def test_empty_stack_gives_an_empty_stack(self):
         for kind in CORRUPTION_KINDS:

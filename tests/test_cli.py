@@ -97,6 +97,15 @@ class TestIngest:
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
         assert "b.csv" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_csv_image_is_one_error_line(self, tmp_path, capsys):
+        src = tmp_path / "ing"
+        src.mkdir()
+        (src / "a.csv").write_text("")
+        (src / "labels.csv").write_text("a.csv,0\n")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        assert capsys.readouterr().err == f"error: malformed image file {src / 'a.csv'}: no pixels\n"
+
     def test_inconsistent_shapes_error(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -370,6 +379,15 @@ class TestInfocurveAndSpectra:
         header, rows = read_csv(out / "spectra_annuli.csv")
         assert header == ["kind", "band", "center", "mean_delta"]
         assert len(rows) == 4 * 8
+
+    def test_spectra_of_one_pixel_images_is_a_data_error_without_output(self, tmp_path, capsys):
+        raw = np.random.default_rng(0).random((8, 1, 1, 1))
+        data = tmp_path / "px.mol1"
+        save_mol1(standardized_dataset(raw, np.arange(8) % 2, 2, provenance="1x1"), data)
+        out = tmp_path / "sp"
+        assert main(["spectra", "--dataset", str(data), "--out", str(out)]) == 3
+        assert "(1, 1)" in capsys.readouterr().err
+        assert not list(out.glob("spectral_*.csv"))
 
 
 class TestRerun:
@@ -670,6 +688,29 @@ class TestConfigSchema:
         }
         assert _DEFAULTS["schedule"]["mode_probs"] == list(ScheduleConfig.mode_probs)
         assert _DEFAULTS["schedule"]["sigma_max"] is None
+
+    def test_readme_configuration_table_restates_the_defaults(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        rows = {}
+        for line in table.splitlines():
+            if not line.startswith("| `"):
+                break
+            key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+            rows[key] = default
+        flat = {}
+        for key, value in _DEFAULTS.items():
+            if isinstance(value, dict):
+                flat.update({f"{key}.{name}": inner for name, inner in value.items()})
+            else:
+                flat[key] = value
+        assert list(rows) == list(flat)
+        for key, default in rows.items():
+            try:
+                documented = json.loads(default)
+            except ValueError:
+                continue  # prose such as [1/3, 1/3, 1/3]
+            assert documented == flat[key], key
 
     @pytest.mark.parametrize("config", [None, {"seed": 3}, {"schedule": {"k_noise": 2.0}}])
     def test_runs_leave_the_defaults_as_they_were(self, tmp_path, config):
