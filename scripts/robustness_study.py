@@ -70,8 +70,8 @@ def main() -> int:
         for arm, reports in result.items():
             clean, corrupted = reports["clean"], reports["corrupted"]
             print(
-                f"{seed:>4}  {arm:<9}  {clean.error:6.3f}  {corrupted.error:6.3f}"
-                f"  {corrupted.ece:6.3f}  {corrupted.nll:6.3f}"
+                f"{seed:>4}  {arm:<9}  {clean['error']:6.3f}  {corrupted['error']:6.3f}"
+                f"  {corrupted['ece']:6.3f}  {corrupted['nll']:6.3f}"
             )
     summary = aggregate(results)
     print()

@@ -328,12 +328,13 @@ def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
 
 
 def _read_labels(labels_file: Path) -> dict[str, int]:
-    """File name -> class from labels.csv, which may have a header row."""
+    """File name -> class from labels.csv, which may start with a BOM and have a header row."""
     if not labels_file.exists():
         raise DataError(f"missing {labels_file}")
     raw = labels_file.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        # The BOM goes after decoding, so an error's byte offset counts it, as the file does.
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         row = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(
@@ -504,20 +505,16 @@ def cmd_eval(ns: argparse.Namespace, run: Run) -> int:
     params, _header = load_params(ns.params)
     bins = cfg["bins"]
     records = [predict_batch(params, dataset, tag="clean")]
-    clean_report = evaluate(records[0], num_bins=bins)
-    corrupted_report = None
+    reports = {"clean": evaluate(records[0], num_bins=bins)}
     if cfg["corruptions"]:
         for tag, batch in corruption_grid(dataset.images, cfg["seed"]):
             records.append(predict_records(params, batch, dataset.labels, tag=tag))
-        corrupted_report = evaluate(np.concatenate(records[1:]), num_bins=bins)
+        reports["corrupted"] = evaluate(np.concatenate(records[1:]), num_bins=bins)
     write_records_csv(np.concatenate(records), run.out / "records.csv")
-    payload = {"config_hash": run.config_hash, "seed": cfg["seed"], "clean": clean_report.to_dict()}
-    if corrupted_report is not None:
-        payload["corrupted"] = corrupted_report.to_dict()
+    payload = {"config_hash": run.config_hash, "seed": cfg["seed"], **reports}
     write_json(run.out / "eval.json", payload)
-    text = format_report_table(clean_report, title="clean")
-    if corrupted_report is not None:
-        text += "\n" + format_report_table(corrupted_report, title="corrupted(all)")
+    titles = {"clean": "clean", "corrupted": "corrupted(all)"}
+    text = "\n".join(format_report_table(rep, titles[split]) for split, rep in reports.items())
     write_text(run.out / "eval.txt", text)
     print(text, end="")
     return 0

@@ -13,7 +13,6 @@ then averages |accuracy - confidence| over bins weighted by occupancy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,53 +109,34 @@ def ece(preds: np.ndarray, num_bins: int = ECE_BINS) -> float:
     return total
 
 
-@dataclass
-class EvalReport:
-    """Error/NLL/ECE over a record set, with a per-tag breakdown."""
-
-    error: float
-    nll: float
-    ece: float
-    count: int
-    per_tag: dict[str, "EvalReport"] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {"error": self.error, "nll": self.nll, "ece": self.ece, "count": self.count}
-        if self.per_tag:
-            out["per_tag"] = {tag: rep.to_dict() for tag, rep in self.per_tag.items()}
-        return out
+def _report(preds: np.ndarray, num_bins: int) -> dict:
+    return {
+        "error": error_rate(preds),
+        "nll": avg_nll(preds),
+        "ece": ece(preds, num_bins),
+        "count": len(preds),
+    }
 
 
-def _report(preds: np.ndarray, num_bins: int) -> EvalReport:
-    return EvalReport(
-        error=error_rate(preds),
-        nll=avg_nll(preds),
-        ece=ece(preds, num_bins),
-        count=len(preds),
-    )
-
-
-def evaluate(preds: np.ndarray, num_bins: int = ECE_BINS) -> EvalReport:
-    """Overall report plus one sub-report per tag when there are two or more tags."""
-    _require_records(preds)
+def evaluate(preds: np.ndarray, num_bins: int = ECE_BINS) -> dict:
+    """``error``, ``nll``, ``ece`` and ``count`` of a record set, plus a ``per_tag``
+    dict of such reports when there are two or more tags: the object ``eval.json``
+    stores for each split."""
     report = _report(preds, num_bins)
     tags = preds["tag"]
     distinct = np.unique(tags)
     if len(distinct) > 1:
-        for tag in distinct:
-            report.per_tag[str(tag)] = _report(preds[tags == tag], num_bins)
+        report["per_tag"] = {str(tag): _report(preds[tags == tag], num_bins) for tag in distinct}
     return report
 
 
-def format_report_table(report: EvalReport, title: str = "overall") -> str:
+def format_report_table(report: dict, title: str = "overall") -> str:
     """Aligned text table: one row overall, one per tag."""
-    rows = [(title, report)] + sorted(report.per_tag.items())
+    rows = [(title, report)] + sorted(report.get("per_tag", {}).items())
     name_w = max(len(name) for name, _ in rows)
+    row = "{name}  {count:5d}  {error:7.4f}  {nll:7.4f}  {ece:7.4f}"
     lines = [f"{'tag'.ljust(name_w)}  count   error     nll      ece"]
-    for name, rep in rows:
-        lines.append(
-            f"{name.ljust(name_w)}  {rep.count:5d}  {rep.error:7.4f}  {rep.nll:7.4f}  {rep.ece:7.4f}"
-        )
+    lines += [row.format(name=name.ljust(name_w), **rep) for name, rep in rows]
     return "\n".join(lines) + "\n"
 
 

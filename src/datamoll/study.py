@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import corruption_grid
-from .metrics import EvalReport, evaluate
+from .metrics import evaluate
 from .mol1 import Mol1Dataset
 from .schedules import ScheduleConfig
 from .streams import derive_seed
@@ -38,8 +38,8 @@ ARMS = {
     "mollified": {"mollify": True},
 }
 
-# One seed's study: arm -> split -> report.
-StudyResult = dict[str, dict[str, EvalReport]]
+# One seed's study: arm -> split -> the report of metrics.evaluate.
+StudyResult = dict[str, dict[str, dict]]
 
 
 def texture_splits(
@@ -85,7 +85,7 @@ def run_study(
 def aggregate(results: list[StudyResult]) -> dict[str, float]:
     """Across-seed means of each arm's metrics on each split, plus the error reduction."""
     summary = {
-        f"{arm}_{split}_{metric}": float(np.mean([getattr(r[arm][split], metric) for r in results]))
+        f"{arm}_{split}_{metric}": float(np.mean([r[arm][split][metric] for r in results]))
         for arm in ARMS
         for split in ("clean", "corrupted")
         for metric in ("error", "ece", "nll")

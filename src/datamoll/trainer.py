@@ -132,7 +132,9 @@ def loss_and_grad(
     f = np.exp(logp)
     loss = float(-(y * logp).sum() / batch)
     dlogits = f * y.sum(axis=1, keepdims=True) - y
-    if include_normalizer:
+    # log Z needs finite log-probabilities; a non-finite one makes the loss above
+    # non-finite too (0 * -inf is nan), and the trainer reports that.
+    if include_normalizer and math.isfinite(loss):
         loss += float(np.mean(log_normalizer_Z(logp)))
         dlogits = dlogits + log_normalizer_grad(logp)
     dlogits /= batch
@@ -154,6 +156,9 @@ def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr * (1.0 + math.cos(math.pi * epoch / cfg.epochs)) / 2.0
 
 
+# A diverging model overflows; its non-finite loss or parameters end in a
+# TrainingDivergedError instead of NumPy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
     """Train on a standardized MOL1 dataset; deterministic for a fixed seed."""
     n = dataset.count

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -17,7 +18,7 @@ from pytest import approx
 
 import datamoll
 from datamoll.cli import _DEFAULTS, main
-from datamoll.metrics import read_records_csv
+from datamoll.metrics import evaluate, read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
 from datamoll.synth import grating_dataset, standardized_dataset
@@ -159,6 +160,27 @@ class TestIngest:
         (src / "labels.csv").write_bytes(b"a.csv,0\n\xff\n")
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
         assert "labels.csv row 2: not UTF-8" in capsys.readouterr().err
+
+    def test_labels_with_a_bom_ingest_as_without(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        for name, value in (("a.csv", 0), ("b.csv", 255)):
+            np.savetxt(src / name, np.full((2, 2), value), fmt="%d", delimiter=",")
+        rows = b"a.csv,0\nb.csv,1\n"
+        containers = set()
+        for labels in (rows, codecs.BOM_UTF8 + rows, codecs.BOM_UTF8 + b"filename,label\n" + rows):
+            (src / "labels.csv").write_bytes(labels)
+            assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 0
+            containers.add((tmp_path / "x.mol1").read_bytes())
+        assert len(containers) == 1
+
+    def test_labels_with_a_bom_that_are_not_utf8_name_the_row(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("0,0\n0,0\n")
+        (src / "labels.csv").write_bytes(codecs.BOM_UTF8 + b"a.csv,0\n\xff\n")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        assert "labels.csv row 2: not UTF-8 (invalid start byte at byte 11)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "labels, pixels, named",
@@ -341,6 +363,16 @@ class TestTrainEvalPipeline:
         assert len(records) == 48 * 21
         table = (out / "eval.txt").read_text()
         assert "clean" in table and "gauss_blur-5" in table
+
+    def test_eval_json_is_evaluate_of_its_records(self, trained, dataset_path, tmp_path):
+        out = tmp_path / "eval"
+        argv = ["eval", str(trained / "params.bin"), "--dataset", str(dataset_path)]
+        assert main([*argv, "--out", str(out), "--corruptions", "true", "--bins", "7"]) == 0
+        payload = json.loads((out / "eval.json").read_text())
+        records = read_records_csv(out / "records.csv")
+        clean = records["tag"] == "clean"
+        assert payload["clean"] == evaluate(records[clean], num_bins=7)
+        assert payload["corrupted"] == evaluate(records[~clean], num_bins=7)
 
     def test_eval_uniform_zero_weight_model(self, tmp_path):
         raw, _ = grating_dataset(40, seed=9)
@@ -873,15 +905,35 @@ class TestBadFileFields:
         assert str(params) in err and f"'shapes.{field}'" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _env_with_src(**extra) -> dict:
+    """The environment with this datamoll's source first on PYTHONPATH, plus ``extra``."""
     src = str(Path(datamoll.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-m", "datamoll", "--version"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"datamoll {datamoll.__version__}"
+
+
+@pytest.mark.parametrize("loss", ["smoothed", "tempered", "normalized"])
+def test_diverging_training_is_one_error_line_for_every_loss(loss, dataset_path, tmp_path):
+    env = _env_with_src()
+    argv = ["train", "--dataset", str(dataset_path), "--out", str(tmp_path), "--loss", loss]
+    argv += ["--lr", "1e160", "--epochs", "3", "--batch-size", "16"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "datamoll", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: non-finite ")
 
 
 # Reads each kind of text file datamoll writes or takes in, with non-ASCII
@@ -925,14 +977,11 @@ print("ok")
 
 
 def test_text_files_are_read_as_utf8_whatever_the_locale(tmp_path):
-    src = str(Path(datamoll.__file__).resolve().parent.parent)
-    env = dict(
-        os.environ,
+    env = _env_with_src(
         LC_ALL="C",
         PYTHONCOERCECLOCALE="0",
         PYTHONUTF8="0",
         PYTHONIOENCODING="ascii:backslashreplace",
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     proc = subprocess.run(
         [sys.executable, "-c", _UTF8_SCRIPT, str(tmp_path)],

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -136,24 +137,35 @@ class TestEvaluateAndIo:
     def test_evaluate_with_tags(self):
         recs = join(repeated([0.9, 0.1], 0, 4, "clean"), repeated([0.6, 0.4], 1, 6, "noisy"))
         rep = evaluate(recs)
-        assert rep.count == 10
-        assert set(rep.per_tag) == {"clean", "noisy"}
-        assert rep.per_tag["clean"].error == 0.0
-        assert rep.per_tag["noisy"].error == 1.0
+        assert rep["count"] == 10
+        assert set(rep["per_tag"]) == {"clean", "noisy"}
+        assert rep["per_tag"]["clean"]["error"] == 0.0
+        assert rep["per_tag"]["noisy"]["error"] == 1.0
         table = format_report_table(rep)
         assert "clean" in table and "noisy" in table
 
     def test_one_tag_gets_no_copy_of_the_report(self):
         rep = evaluate(repeated([0.9, 0.1], 0, 4, "clean"))
-        assert rep.per_tag == {} and "per_tag" not in rep.to_dict()
+        assert "per_tag" not in rep
         assert format_report_table(rep, title="clean").count("clean") == 1
+
+    def test_report_is_json_native(self):
+        recs = join(repeated([0.9, 0.1], 0, 4, "clean"), repeated([0.6, 0.4], 1, 6, "noisy"))
+        rep = evaluate(recs)
+        assert json.loads(json.dumps(rep)) == rep
+        assert type(rep["count"]) is int
+        assert all(type(sub["count"]) is int for sub in rep["per_tag"].values())
+
+    def test_evaluate_rejects_no_records(self):
+        with pytest.raises(DataError, match="empty record set"):
+            evaluate(predictions(np.zeros((0, 2)), []))
 
     def test_invariants_of_report(self):
         rng = np.random.default_rng(9)
         rep = evaluate(random_records(rng, 40))
-        assert 0.0 <= rep.error <= 1.0
-        assert 0.0 <= rep.ece <= 1.0
-        assert rep.nll >= 0.0
+        assert 0.0 <= rep["error"] <= 1.0
+        assert 0.0 <= rep["ece"] <= 1.0
+        assert rep["nll"] >= 0.0
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)

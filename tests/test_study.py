@@ -71,8 +71,10 @@ def test_aggregate_of_one_seed_is_its_own_values(studied):
     for arm in ("baseline", "mollified"):
         for split in ("clean", "corrupted"):
             for metric in ("error", "ece", "nll"):
-                assert summary[f"{arm}_{split}_{metric}"] == getattr(result[arm][split], metric)
-    reduction = 1.0 - result["mollified"]["corrupted"].error / result["baseline"]["corrupted"].error
+                assert summary[f"{arm}_{split}_{metric}"] == result[arm][split][metric]
+    reduction = 1.0 - (
+        result["mollified"]["corrupted"]["error"] / result["baseline"]["corrupted"]["error"]
+    )
     assert summary["relative_error_reduction"] == reduction
     # Every key that criterion 10 and scripts/robustness_study.py read.
     read = {
