@@ -7,8 +7,8 @@ the 4-corruption x 5-severity grid), ``infocurve`` (PNG compression ratios
 over blur temperatures), and ``spectra`` (per-corruption DCT change grids).
 
 ``_COMMANDS`` gives each command but ``ingest`` (which reads no setting)
-its handler and the top-level config keys it reads.  Those keys fix the
-command's flags, and only they are echoed into the output directory's
+its handler and the settings it reads.  Those settings fix the command's
+flags, and only they are echoed into the output directory's
 ``run.json`` and hashed into its config hash, which takes the dataset by
 content, not by path.  All commands write outputs atomically.  Exit codes:
 0 success, 2 usage error, 3 data error, 4 numerical failure.
@@ -151,23 +151,20 @@ def _parse_mode_probs(text: str) -> list[float]:
 _N = {"type": int, "metavar": "N"}
 _F = {"type": _parse_finite, "metavar": "F"}
 _BOOL = {"type": _parse_bool, "metavar": "BOOL"}
-# The flags of each key; a flag's argparse dest is the name of the key it sets.
+# The flag of each setting that has one is ``--`` and the setting's name with
+# dashes, its argparse dest the setting (see _COMMANDS).
 _FLAGS = {
-    "seed": {"--seed": {"type": parse_u64, "metavar": "U64", "help": "run seed"}},
-    "dataset": {"--dataset": {"metavar": "PATH", "help": "MOL1 dataset path"}},
-    "schedule": {
-        **dict.fromkeys(("--k-noise", "--k-blur", "--beta-alpha", "--beta-beta"), _F),
-        "--mode-probs": {"type": _parse_mode_probs, "metavar": "F,F,F"},
-    },
-    "train": {
-        "--mollify": _BOOL,
-        "--loss": {"choices": LOSS_KINDS},
-        **dict.fromkeys(("--epochs", "--batch-size"), _N),
-        "--lr": _F,
-    },
-    "bins": {"--bins": _N},
-    "corruptions": {"--corruptions": _BOOL},
-    "t_steps": {"--t-steps": _N},
+    "seed": {"type": parse_u64, "metavar": "U64", "help": "run seed"},
+    "dataset": {"metavar": "PATH", "help": "MOL1 dataset path"},
+    **{f"schedule.{name}": _F for name in ("k_noise", "k_blur", "beta_alpha", "beta_beta")},
+    "schedule.mode_probs": {"type": _parse_mode_probs, "metavar": "F,F,F"},
+    "train.mollify": _BOOL,
+    "train.loss": {"choices": LOSS_KINDS},
+    **{f"train.{name}": _N for name in ("epochs", "batch_size")},
+    "train.lr": _F,
+    "bins": _N,
+    "corruptions": _BOOL,
+    "t_steps": _N,
 }
 
 
@@ -188,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("params", help="parameter file written by train")
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", required=True, help="output directory")
-        for key in keys:
-            for flag, options in _FLAGS[key].items():
-                p.add_argument(flag, **options)
+        for leaf in keys:
+            if leaf in _FLAGS:
+                flag = "--" + leaf.split(".")[-1].replace("_", "-")
+                p.add_argument(flag, dest=leaf, **_FLAGS[leaf])
     return parser
 
 
@@ -225,20 +223,20 @@ def _check_config(value, default, path: str):
 
 
 def effective_config(ns: argparse.Namespace) -> dict:
-    """The keys ``ns.command`` reads: defaults, overlaid by the config file, then by flags."""
+    """The settings ``ns.command`` reads: defaults, overlaid by the config file, then by flags."""
     loaded = {}
     if ns.config:
         path = Path(ns.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
         loaded = read_json_object(path)
-    cfg = _check_config(loaded, _DEFAULTS, "")
-    cfg = {key: cfg[key] for key in _COMMANDS[ns.command][1]}
-    for section in (cfg, *(value for value in cfg.values() if isinstance(value, dict))):
-        for key in section:
-            value = getattr(ns, key, None)
-            if value is not None:
-                section[key] = value
+    full = _check_config(loaded, _DEFAULTS, "")
+    cfg = {}
+    for leaf in _COMMANDS[ns.command][1]:
+        section, _, name = leaf.rpartition(".")
+        src, dst = (full[section], cfg.setdefault(section, {})) if section else (full, cfg)
+        flag = getattr(ns, leaf, None)
+        dst[name] = src[name] if flag is None else flag
     return cfg
 
 
@@ -556,16 +554,21 @@ def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
     return 0
 
 
+_SCHEDULE = tuple(f"schedule.{name}" for name in _DEFAULTS["schedule"])
+_TRAIN = tuple(f"train.{name}" for name in _DEFAULTS["train"])
+_SIGMAS = ("schedule.sigma_max", "schedule.sigma_min")
 # Each command that reads settings: its handler, whose docstring is its help
-# line, and the top-level config keys it reads.  The keys pick the command's
-# flags, and only they go into run.json and the config hash; a shared config
-# file may set the other keys too.
+# line, and the settings it reads, each a top-level key or a ``section.name``.
+# They pick the command's flags, and only they go into run.json and the
+# config hash; a shared config file may set the other keys too.
 _COMMANDS = {
-    "schedule-dump": (cmd_schedule_dump, ("schedule", "t_steps")),
-    "mollify": (cmd_mollify, ("seed", "dataset", "schedule")),
-    "train": (cmd_train, ("seed", "dataset", "schedule", "train")),
+    "schedule-dump": (
+        cmd_schedule_dump, (*_SIGMAS, "schedule.k_noise", "schedule.k_blur", "t_steps")
+    ),
+    "mollify": (cmd_mollify, ("seed", "dataset", *_SCHEDULE)),
+    "train": (cmd_train, ("seed", "dataset", *_SCHEDULE, *_TRAIN)),
     "eval": (cmd_eval, ("seed", "dataset", "bins", "corruptions")),
-    "infocurve": (cmd_infocurve, ("dataset", "schedule", "t_steps")),
+    "infocurve": (cmd_infocurve, ("dataset", *_SIGMAS, "t_steps")),
     "spectra": (cmd_spectra, ("seed", "dataset")),
 }
 

@@ -39,12 +39,25 @@ def write_json(path: str | Path, value) -> None:
     write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The pairs of one JSON object as a dict; a LookupError names a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise LookupError(key)
+        out[key] = value
+    return out
+
+
 def read_json_object(path: Path) -> dict:
-    """The JSON object in ``path``; other content is a DataError naming the file."""
+    """The JSON object in ``path``; other content, or an object at any depth that
+    repeats a key, is a DataError naming the file."""
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
+        value = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path} is not JSON: {exc}") from None
+    except LookupError as exc:
+        raise DataError(f"{path}: key {exc.args[0]!r} appears twice in one object") from None
     if not isinstance(value, dict):
         raise DataError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value

@@ -125,10 +125,17 @@ def gamma_blur(t: float, k: float) -> float:
 
 
 def sample_temperature(rng: np.random.Generator, cfg: ScheduleConfig) -> float:
-    """One Beta(alpha, beta) draw built from two standard-Gamma variates."""
-    while True:
-        g1 = rng.standard_gamma(cfg.beta_alpha)
-        g2 = rng.standard_gamma(cfg.beta_beta)
-        total = g1 + g2
-        if total > 0.0:
-            return float(g1 / total)
+    """One Beta(alpha, beta) draw built from two standard-Gamma variates.
+
+    Where both variates underflow to 0, as about half of all Gamma(0.001)
+    draws and every Gamma(1e-10) draw do, the draw is the Beta's limit for
+    vanishing shapes: 1 with probability alpha / (alpha + beta), the chance
+    that the first variate is the larger, else 0, decided by one more
+    uniform draw.
+    """
+    g1 = rng.standard_gamma(cfg.beta_alpha)
+    g2 = rng.standard_gamma(cfg.beta_beta)
+    total = g1 + g2
+    if total > 0.0:
+        return float(g1 / total)
+    return float(rng.random() < cfg.beta_alpha / (cfg.beta_alpha + cfg.beta_beta))

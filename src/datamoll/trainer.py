@@ -242,17 +242,22 @@ _PARAMS_MAGIC = b"MLP1"
 def save_params(
     params: MlpParams, path: str | Path, seed: int, config_hash: str
 ) -> None:
-    """Flat little-endian float32 blob behind a length-prefixed JSON header."""
+    """Flat little-endian float32 blob behind a length-prefixed JSON header; a
+    FloatingPointError, and no file, if a weight is not finite in float32."""
     header = {
         "shapes": {name: list(arr.shape) for name, arr in params.blocks()},
         "seed": int(seed),
         "config_hash": config_hash,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in params.blocks()
-    )
-    payload = _PARAMS_MAGIC + len(head).to_bytes(4, "little") + head + blob
+    blocks = []
+    for name, arr in params.blocks():
+        with np.errstate(over="ignore"):
+            block = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(block).all():
+            raise FloatingPointError(f"weights in {name!r} do not fit in float32")
+        blocks.append(block.tobytes())
+    payload = _PARAMS_MAGIC + len(head).to_bytes(4, "little") + head + b"".join(blocks)
     write_bytes(path, payload)
 
 

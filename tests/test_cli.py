@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import hashlib
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import datamoll
-from datamoll.cli import _DEFAULTS, main
+from datamoll.cli import _DEFAULTS, build_parser, main
 from datamoll.metrics import evaluate, read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
@@ -542,7 +544,7 @@ class TestRunRecord:
             ("eval", {"train": {"epochs": 3}}, {"bins": 10}),
             ("eval", {"schedule": {"k_noise": 2.0}, "t_steps": 5}, {"corruptions": True}),
             ("schedule-dump", {"seed": 9, "dataset": "elsewhere.mol1"}, {"schedule": {"k_noise": 2.0}}),
-            ("infocurve", {"seed": 9, "bins": 3}, {"schedule": {"k_blur": 2.0}}),
+            ("infocurve", {"seed": 9, "bins": 3}, {"schedule": {"sigma_min": 0.5}}),
             ("spectra", {"train": {"lr": 0.5}, "schedule": {"sigma_max": 8.0}}, {"seed": 9}),
             ("train", {"bins": 3, "corruptions": True}, {"train": {"batch_size": 16}}),
         ],
@@ -561,14 +563,61 @@ class TestRunRecord:
         assert hashes[0] == hashes[1]
         assert hashes[0] != hashes[2]
 
-    @pytest.mark.parametrize("command", ["schedule-dump", "infocurve"])
-    def test_seed_is_a_usage_error_where_unread(self, dataset_path, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("schedule-dump", "--seed", "1"),
+            ("infocurve", "--seed", "1"),
+            ("infocurve", "--k-noise", "2"),
+            ("schedule-dump", "--mode-probs", "1,0,0"),
+        ],
+    )
+    def test_flag_of_an_unread_setting_is_a_usage_error(
+        self, dataset_path, tmp_path, command, flag, value
+    ):
         out = tmp_path / "o"
-        argv = [command, "--out", str(out), "--seed", "1"]
+        argv = [command, "--out", str(out), flag, value]
         if command == "infocurve":
             argv += ["--dataset", str(dataset_path)]
         assert main(argv) == 2
         assert not out.exists()
+
+    SCHEDULE_FLAGS = {"--k-noise", "--k-blur", "--beta-alpha", "--beta-beta", "--mode-probs"}
+    EXPECTED_FLAGS = {
+        "schedule-dump": {"--k-noise", "--k-blur", "--t-steps"},
+        "mollify": {"--seed", "--dataset", *SCHEDULE_FLAGS},
+        "train": {
+            "--seed", "--dataset", *SCHEDULE_FLAGS,
+            "--epochs", "--batch-size", "--lr", "--loss", "--mollify",
+        },
+        "eval": {"--seed", "--dataset", "--bins", "--corruptions"},
+        "infocurve": {"--dataset", "--t-steps"},
+        "spectra": {"--seed", "--dataset"},
+    }
+
+    def test_each_command_takes_the_flags_of_the_settings_it_reads(self):
+        commands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command, expected in self.EXPECTED_FLAGS.items():
+            flags = {
+                flag
+                for action in commands[command]._actions
+                for flag in action.option_strings
+            }
+            assert flags - {"-h", "--help", "--config", "--out"} == expected, command
+
+    def test_infocurve_records_the_blur_range_and_grid_alone(self, dataset_path, tmp_path):
+        out = tmp_path / "o"
+        argv = ["infocurve", "--dataset", str(dataset_path), "--out", str(out), "--t-steps", "3"]
+        assert main(argv) == 0
+        assert _run_json(out)["config"] == {
+            "dataset": str(dataset_path),
+            "schedule": {"sigma_max": 16.0, "sigma_min": 0.3},
+            "t_steps": 3,
+        }
 
 
 class TestConfigAndErrors:
@@ -622,7 +671,7 @@ class TestConfigAndErrors:
             ("schedule-dump", "--k-noise", "nan"),
             ("mollify", "--k-blur", "inf"),
             ("train", "--lr", "nan"),
-            ("schedule-dump", "--mode-probs", "0.5,nan,0.5"),
+            ("mollify", "--mode-probs", "0.5,nan,0.5"),
         ],
     )
     def test_non_finite_flag_is_a_usage_error(
@@ -698,6 +747,15 @@ class TestConfigSchema:
         argv = ["train", "--config", str(config), "--dataset", str(dataset_path), "--out", str(out)]
         assert main(argv) == 3
         assert f"{config} is not JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_repeats_a_key_names_the_file_and_key(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"schedule": {"k_noise": 5.0, "k_noise": 1.0}}')
+        out = tmp_path / "o"
+        assert main(["schedule-dump", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: key 'k_noise' appears twice in one object\n"
         assert not out.exists()
 
     def test_floats_accept_ints_and_null_defaults_accept_values(self, tmp_path):
@@ -801,9 +859,11 @@ class TestBadFileFields:
 
     def test_non_finite_weight_names_the_file(self, files, tmp_path, capsys):
         data, params = files
-        w2 = np.zeros((4, 8))
-        w2[1, 2] = np.inf
-        save_params(MlpParams(np.zeros((8, 256)), np.zeros(8), w2, np.zeros(4)), params, 0, "inf")
+        # save_params writes no inf, so the float32 bytes of w2[1, 2] are patched.
+        raw = bytearray(params.read_bytes())
+        at = 8 + int.from_bytes(raw[4:8], "little") + 4 * (8 * 256 + 8 + 1 * 8 + 2)
+        raw[at : at + 4] = np.array(np.inf, dtype="<f4").tobytes()
+        params.write_bytes(bytes(raw))
         assert self._eval(data, params, tmp_path) == 3
         assert capsys.readouterr().err == f"error: {params} holds non-finite values in 'w2'\n"
 
@@ -934,6 +994,20 @@ def test_diverging_training_is_one_error_line_for_every_loss(loss, dataset_path,
     assert proc.returncode == 4, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: non-finite ")
+
+
+def test_weights_beyond_float32_are_one_error_line_and_no_file(tmp_path, capsys):
+    raw, labels = grating_dataset(256, seed=1)
+    data = tmp_path / "g.mol1"
+    save_mol1(standardized_dataset(raw, labels, 4, provenance="grating"), data)
+    out = tmp_path / "t"
+    argv = ["train", "--dataset", str(data), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--lr", "1e8", "--epochs", "3", "--mollify", "false"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: weights in 'w1' do not fit in float32\n"
+    assert not (out / "params.bin").exists()
 
 
 # Reads each kind of text file datamoll writes or takes in, with non-ASCII

@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from datamoll.errors import DataError
 from datamoll.ioutil import read_json_object, write_bytes, write_csv, write_json
 
 TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
@@ -74,3 +75,20 @@ def test_json_round_trips_in_the_one_file_layout(tmp_path):
     assert path.read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
     assert read_json_object(path) == value
 
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"a": 1, "a": 1}', "a"),
+        ('{"s": {"k": 1, "j": 2, "k": 3}}', "k"),
+        ('{"l": [{"x": 1, "x": 2}]}', "x"),
+    ],
+    ids=["top", "nested", "in-list"],
+)
+def test_a_repeated_key_at_any_depth_names_the_file_and_key(tmp_path, text, key):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_json_object(path)
+    assert str(info.value) == f"{path}: key {key!r} appears twice in one object"

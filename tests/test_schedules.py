@@ -167,6 +167,15 @@ class TestTemperaturePrior:
         stat = scipy.stats.kstest(draws, "uniform").statistic
         assert stat < 0.01
 
+    def test_vanishing_shapes_draw_the_limit_in_one_step(self):
+        # Both Gamma variates underflow to 0 at these shapes; the Beta's limit
+        # is 1 with probability a / (a + b), else 0.
+        cfg = ScheduleConfig(sigma_max=16.0, beta_alpha=1e-300, beta_beta=3e-300)
+        rng = stream(11)
+        draws = np.array([sample_temperature(rng, cfg) for _ in range(20_000)])
+        assert set(np.unique(draws)) <= {0.0, 1.0}
+        assert (draws == 1.0).mean() == approx(0.25, abs=0.015)
+
     def test_fixed_seed_replay(self):
         cfg = ScheduleConfig.for_width(16)
         first = [sample_temperature(stream(42), cfg) for _ in range(1)]

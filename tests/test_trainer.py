@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,17 @@ class TestParamsIo:
         save_params(params, tmp_path / "a.bin", seed=1, config_hash="x")
         save_params(params, tmp_path / "b.bin", seed=1, config_hash="x")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_weights_outside_float32_are_refused_and_leave_no_file(self, tmp_path, value):
+        params = init_params(12, 6, 3, seed=4)
+        params.b2[1] = value
+        path = tmp_path / "params.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="'b2'"):
+                save_params(params, path, seed=4, config_hash="x")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
