@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -42,7 +40,7 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import read_json_object, write_csv, write_json, write_text
+from .ioutil import read_csv_rows, read_json_object, read_lines, write_csv, write_json, write_text
 from .metrics import ECE_BINS, evaluate, format_report_table, write_records_csv
 from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
@@ -329,17 +327,8 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
     """File name -> class from labels.csv, which may start with a BOM and have a header row."""
     if not labels_file.exists():
         raise DataError(f"missing {labels_file}")
-    raw = labels_file.read_bytes()
-    try:
-        # The BOM goes after decoding, so an error's byte offset counts it, as the file does.
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        row = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(
-            f"{labels_file} row {row}: not UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
     labels: dict[str, int] = {}
-    for line, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    for line, row in enumerate(read_csv_rows(labels_file), start=1):
         if not row or row[0].strip().lower() == "filename":
             continue
         where = f"{labels_file} row {line}"
@@ -362,12 +351,13 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
 def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     """One 8-bit image as (H, W, C) int64: the bytes of a .raw image of ``shape``,
     or a .csv grid with ``shape[-1]`` channels per pixel."""
+    lines = read_lines(path) if path.suffix == ".csv" else None
     try:
-        if path.suffix == ".csv":
+        if lines is not None:
             with warnings.catch_warnings():
                 # An empty grid is reported below, as a file without pixels.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+                grid = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
             if grid.size == 0:
                 raise ValueError("no pixels")
             image = grid.reshape(grid.shape[0], -1, shape[-1])

@@ -1,5 +1,5 @@
-"""Atomic file writes (temp file in the target directory + rename), and the
-one writer of the package's CSV tables and JSON files and reader of its JSON."""
+"""Atomic file writes (temp file in the target directory + rename), the one writer
+of the package's CSV tables and JSON files, and the one reader of its input text."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +50,34 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def read_json_object(path: Path) -> dict:
-    """The JSON object in ``path``; other content, or an object at any depth that
-    repeats a key, is a DataError naming the file."""
+def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
+    """The lines of the UTF-8 text, less a leading BOM, in the file ``path`` or in ``raw``
+    read from it, each with its end, as a file opened with ``newline=""`` gives them."""
+    raw = Path(path).read_bytes() if raw is None else raw
     try:
-        value = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        # The BOM goes after decoding, so an error's byte offset counts it, as the file does.
+        return re.findall(r".*?(?:\r\n?|\n)|.+", raw.decode("utf-8").removeprefix("\ufeff"))
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} row {row}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The rows of the CSV table in ``path``; a malformed row is a DataError naming it."""
+    reader = csv.reader(read_lines(path))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path} row {reader.line_num}: not CSV ({exc})") from None
+
+
+def read_json_object(path: str | Path, raw: bytes | None = None) -> dict:
+    """The JSON object in the file ``path``, or in ``raw`` read from it; other
+    content, or an object at any depth that repeats a key, is a DataError naming ``path``."""
+    text = "".join(read_lines(path, raw))
+    try:
+        value = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
         raise DataError(f"{path} is not JSON: {exc}") from None
     except LookupError as exc:
         raise DataError(f"{path}: key {exc.args[0]!r} appears twice in one object") from None

@@ -12,13 +12,12 @@ then averages |accuracy - confidence| over bins weighted by occupancy.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ioutil import write_csv
+from .ioutil import read_csv_rows, write_csv
 
 NLL_FLOOR = 1e-12
 ECE_BINS = 15  # the default number of calibration bins
@@ -150,11 +149,7 @@ def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
 
 def read_records_csv(path: str | Path) -> np.recarray:
     """Read a file written by :func:`write_records_csv`, validating every row."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path} is not a prediction-record CSV: {exc}") from None
+    table = read_csv_rows(path)
     if not table or table[0][:3] != ["index", "tag", "true_class"]:
         raise DataError(f"{path} is not a prediction-record CSV")
     header, rows = table[0], table[1:]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, TrainingDivergedError
-from .ioutil import write_bytes
+from .ioutil import read_json_object, write_bytes
 from .labels import soft_labels
 from .likelihood import log_normalizer_Z, log_normalizer_grad
 from .metrics import predictions
@@ -266,11 +266,8 @@ def load_params(path: str | Path) -> tuple[MlpParams, dict]:
     if raw[:4] != _PARAMS_MAGIC:
         raise DataError(f"{path} is not a parameter file")
     head_len = int.from_bytes(raw[4:8], "little")
-    try:
-        header = json.loads(raw[8 : 8 + head_len].decode("utf-8"))
-    except ValueError:
-        raise DataError(f"{path} header is not valid JSON") from None
-    if not isinstance(header, dict) or not isinstance(header.get("shapes"), dict):
+    header = read_json_object(f"{path} header", raw[8 : 8 + head_len])
+    if not isinstance(header.get("shapes"), dict):
         raise DataError(f"{path} header has no valid 'shapes' field")
     shapes = {name: header["shapes"].get(name) for name in ("w1", "b1", "w2", "b2")}
     for name, shape in shapes.items():

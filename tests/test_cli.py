@@ -184,6 +184,46 @@ class TestIngest:
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
         assert "labels.csv row 2: not UTF-8 (invalid start byte at byte 11)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a.csv", "shape.json"])
+    def test_an_image_or_shape_json_with_a_bom_ingests_as_without(self, tmp_path, name):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("0,255\n7,9\n")
+        (src / "b.csv").write_text("1,2\n3,4\n")
+        (src / "labels.csv").write_text("a.csv,0\nb.csv,1\n")
+        (src / "shape.json").write_text('{"channels": 1}')
+        out = tmp_path / "x.mol1"
+        outputs = []
+        for bom in (b"", codecs.BOM_UTF8):
+            (src / name).write_bytes(bom + (src / name).read_bytes())
+            assert main(["ingest", str(src), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            (
+                "labels.csv", b"a.csv,0\n" + b"x" * 200_000 + b",1\n",
+                "row 2: not CSV (field larger than field limit (131072))",
+            ),
+            ("a.csv", b"0,0\n0,\xff0\n", "row 2: not UTF-8 (invalid start byte at byte 6)"),
+        ],
+        ids=["oversized-label-field", "image-not-utf8"],
+    )
+    def test_unreadable_text_is_one_error_line_naming_file_and_row(
+        self, tmp_path, capsys, name, content, message
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("0,0\n0,0\n")
+        (src / "labels.csv").write_text("a.csv,0\n")
+        (src / name).write_bytes(content)
+        out = tmp_path / "x.mol1"
+        assert main(["ingest", str(src), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {src / name} {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "labels, pixels, named",
         [
@@ -738,16 +778,34 @@ class TestConfigSchema:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content", [b'{"seed": ', b"\xff\xfe"], ids=["truncated", "not-utf8"]
+        "content, message",
+        [
+            (b'{"seed": ', " is not JSON"),
+            (b"\xff\xfe", " row 1: not UTF-8 (invalid start byte at byte 0)\n"),
+        ],
+        ids=["truncated", "not-utf8"],
     )
-    def test_config_that_is_not_json_names_the_file(self, dataset_path, tmp_path, capsys, content):
+    def test_config_that_is_not_json_names_the_file(
+        self, dataset_path, tmp_path, capsys, content, message
+    ):
         config = tmp_path / "c.json"
         config.write_bytes(content)
         out = tmp_path / "o"
         argv = ["train", "--config", str(config), "--dataset", str(dataset_path), "--out", str(out)]
         assert main(argv) == 3
-        assert f"{config} is not JSON" in capsys.readouterr().err
+        assert f"error: {config}{message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_with_a_bom_reads_as_without(self, tmp_path):
+        text = json.dumps({"schedule": {"k_noise": 2.0}, "t_steps": 5}).encode()
+        outputs = []
+        for i, bom in enumerate((b"", codecs.BOM_UTF8)):
+            config = tmp_path / f"c{i}.json"
+            config.write_bytes(bom + text)
+            out = tmp_path / f"o{i}"
+            assert main(["schedule-dump", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("run.json", "schedules.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_config_that_repeats_a_key_names_the_file_and_key(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -1,14 +1,19 @@
+import ast
 import csv
 import io
 import json
 import os
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datamoll.errors import DataError
-from datamoll.ioutil import read_json_object, write_bytes, write_csv, write_json
+from datamoll.ioutil import read_json_object, read_lines, write_bytes, write_csv, write_json
 
 TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
 INTS = list(range(-3, len(TEXTS) - 3))
@@ -92,3 +97,75 @@ def test_a_repeated_key_at_any_depth_names_the_file_and_key(tmp_path, text, key)
     with pytest.raises(DataError) as info:
         read_json_object(path)
     assert str(info.value) == f"{path}: key {key!r} appears twice in one object"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(["a", ",", '"', "\r", "\n", "\x0c", "\x85", "\u2028"])))
+def test_lines_are_those_of_a_file_opened_with_newline_empty(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            expected = fh.readlines()
+        assert read_lines(path) == expected
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_lines(path) == expected
+
+
+def _call_name(node: ast.AST) -> str | None:
+    """``loads`` for ``json.loads(...)`` or ``loads(...)``; None for a node that is not a call."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _argument(call: ast.Call, index: int, keyword: str) -> ast.AST | None:
+    given = call.args[index] if len(call.args) > index else None
+    return next((kw.value for kw in call.keywords if kw.arg == keyword), given)
+
+
+def _text_reads(tree: ast.Module) -> list[str]:
+    """The calls in ``tree`` that only ``ioutil`` may make: decoding bytes, opening a
+    file for text reading, parsing CSV or JSON text, and giving ``np.loadtxt``
+    anything but the lines ``ioutil.read_lines`` returns, such as a path."""
+    read = {}  # name -> whether every value the module binds to it comes from read_lines
+    for node in ast.walk(tree):
+        for target in node.targets if isinstance(node, ast.Assign) else []:
+            if isinstance(target, ast.Name):
+                lines = any(_call_name(inner) == "read_lines" for inner in ast.walk(node.value))
+                read[target.id] = read.get(target.id, True) and lines
+    found = []
+    for call in ast.walk(tree):
+        name = _call_name(call)
+        owner = getattr(getattr(call, "func", None), "value", None)
+        owner = owner.id if isinstance(owner, ast.Name) else None
+        what = None
+        if name in ("decode", "read_text") and isinstance(call.func, ast.Attribute):
+            what = f".{name}()"
+        elif (owner, name) in (("json", "loads"), ("json", "load"), ("csv", "reader")):
+            what = f"{owner}.{name}()"
+        elif name == "open" and owner != "os":  # os.open takes flags, not a mode
+            mode = _argument(call, 1, "mode")
+            mode = mode.value if isinstance(mode, ast.Constant) else "r"
+            if mode is not None and "r" in mode and "b" not in mode:
+                what = f"open(..., {mode!r})"
+        elif name == "loadtxt":
+            source = _argument(call, 0, "fname")
+            if not (
+                _call_name(source) == "read_lines"
+                or isinstance(source, ast.Name) and read.get(source.id, False)
+            ):
+                what = "np.loadtxt() of something other than read_lines()"
+        if what is not None:
+            found.append(f"line {call.lineno}: {what}")
+    return found
+
+
+def test_only_ioutil_reads_text():
+    package = Path(__file__).resolve().parents[1] / "src" / "datamoll"
+    found = {}
+    for module in sorted(package.glob("*.py")):
+        if module.name != "ioutil.py":
+            found[module.name] = _text_reads(ast.parse(module.read_text(encoding="utf-8")))
+    assert {name: calls for name, calls in found.items() if calls} == {}

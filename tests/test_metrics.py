@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -175,6 +176,16 @@ class TestEvaluateAndIo:
         write_records_csv(recs, path)
         back = read_records_csv(path)
         assert len(back) == len(recs)
+        assert np.array_equal(back.probs, recs["probs"])
+        assert np.array_equal(back.true_class, recs["true_class"])
+        assert np.array_equal(back.tag, recs["tag"])
+
+    def test_csv_with_a_bom_reads_back_equal(self, tmp_path):
+        recs = random_records(np.random.default_rng(12), 6)
+        path = tmp_path / "records.csv"
+        write_records_csv(recs, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        back = read_records_csv(path)
         assert np.array_equal(back.probs, recs["probs"])
         assert np.array_equal(back.true_class, recs["true_class"])
         assert np.array_equal(back.tag, recs["tag"])

@@ -283,6 +283,26 @@ class TestParamsIo:
                 save_params(params, path, seed=4, config_hash="x")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, repeated, key",
+        [(b'"seed":4', b'"seed":4,"seed":9', "seed"), (b'"b2":[3]', b'"b2":[3],"b2":[3]', "b2")],
+        ids=["seed", "shapes.b2"],
+    )
+    def test_a_header_that_repeats_a_key_names_the_file_and_key(
+        self, tmp_path, field, repeated, key
+    ):
+        path = tmp_path / "params.bin"
+        save_params(init_params(12, 6, 3, seed=4), path, seed=4, config_hash="x")
+        raw = path.read_bytes()
+        head_len = int.from_bytes(raw[4:8], "little")
+        head = raw[8 : 8 + head_len]
+        assert head.count(field) == 1
+        head = head.replace(field, repeated)
+        path.write_bytes(raw[:4] + len(head).to_bytes(4, "little") + head + raw[8 + head_len :])
+        with pytest.raises(DataError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path} header: key {key!r} appears twice in one object"
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not params")
