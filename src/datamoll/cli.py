@@ -20,7 +20,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -40,7 +39,9 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import read_csv_rows, read_json_object, read_lines, write_csv, write_json, write_text
+from .ioutil import (
+    check_value, read_csv_rows, read_json_object, read_lines, write_csv, write_json, write_text
+)
 from .metrics import ECE_BINS, evaluate, format_report_table, write_records_csv
 from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
@@ -94,61 +95,46 @@ _DEFAULTS: dict = {
     "t_steps": 11,
 }
 
-# Types a config value may have, by the type of its default; bool is not an int.
-_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-# Keys whose default is null, with the type a value other than null must have.
-_NULLABLE = {"dataset": str, "sigma_max": float}
+# The kind (see ioutil.KINDS) a config value must be: by its key where the
+# default is null or the kind is narrower than its type, else by the default's type.
+_KIND_AT = {
+    "seed": "an integer in [0, 2**64)",
+    "dataset": "a string",
+    "schedule.sigma_max": "a finite number",
+}
+_KIND_OF = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+def _flag_type(kind: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type: ``parse`` of a flag's text, which must give a value of ``kind``."""
+
+    def convert(text: str):
+        try:
+            return check_value("flag", parse(text), kind)
+        except ValueError:  # a DataError too
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+
+    return convert
 
 
-def _parse_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def parse_u64(text: str) -> int:
-    try:
-        value = int(text)
-        if 0 <= value < 2**64:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
-
-
-def parse_positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+_BOOLS = dict.fromkeys(("true", "1", "yes", "on"), True)
+_BOOLS |= dict.fromkeys(("false", "0", "no", "off"), False)
+parse_u64 = _flag_type("an integer in [0, 2**64)", int)
+parse_positive_int = _flag_type("a positive integer", int)
+_finite = _flag_type("a finite number", float)
+_bool = _flag_type("a boolean", lambda text: _BOOLS.get(text.strip().lower()))
 
 
 def _parse_mode_probs(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated probabilities")
-    return [_parse_finite(p) for p in parts]
+    return [_finite(p) for p in parts]
 
 
-_N = {"type": int, "metavar": "N"}
-_F = {"type": _parse_finite, "metavar": "F"}
-_BOOL = {"type": _parse_bool, "metavar": "BOOL"}
+_N = {"type": _flag_type("an integer", int), "metavar": "N"}
+_F = {"type": _finite, "metavar": "F"}
+_BOOL = {"type": _bool, "metavar": "BOOL"}
 # The flag of each setting that has one is ``--`` and the setting's name with
 # dashes, its argparse dest the setting (see _COMMANDS).
 _FLAGS = {
@@ -207,17 +193,10 @@ def _check_config(value, default, path: str):
         if not isinstance(value, list):
             raise DataError(f"config key {path!r} must be a list")
         return [_check_config(item, default[0], f"{path}[{i}]") for i, item in enumerate(value)]
-    if not (value is None and default is None):
-        expected = _NULLABLE[path.split(".")[-1]] if default is None else type(default)
-        if type(value) not in _ACCEPTED[expected]:
-            raise DataError(
-                f"config key {path!r} must be of type {expected.__name__}, got {value!r}"
-            )
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DataError(f"config key {path!r} must be finite, got {value!r}")
-        if path == "seed" and not 0 <= value < 2**64:
-            raise DataError(f"config key 'seed' must lie in [0, 2**64), got {value!r}")
-    return value
+    if value is None and default is None:
+        return None
+    kind = _KIND_AT.get(path) or _KIND_OF[type(default)]
+    return check_value(f"config key {path!r}", value, kind)
 
 
 def effective_config(ns: argparse.Namespace) -> dict:
@@ -313,16 +292,6 @@ def start_run(ns: argparse.Namespace) -> Run:
 # ---------------------------------------------------------------- ingest
 
 
-def _read_shape(shape_file: Path, keys: tuple[str, ...]) -> list[int]:
-    """The positive integers under ``keys`` in the JSON object of ``shape_file``."""
-    shape = read_json_object(shape_file)
-    values = [shape.get(key) for key in keys]
-    for key, value in zip(keys, values):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise DataError(f"{shape_file}: {key!r} must be a positive integer, got {value!r}")
-    return values
-
-
 def _read_labels(labels_file: Path) -> dict[str, int]:
     """File name -> class from labels.csv, which may start with a BOM and have a header row."""
     if not labels_file.exists():
@@ -389,10 +358,13 @@ def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:
     if raw_names and not shape_file.exists():
         raise DataError(f"{raw_names[0]} is raw 8-bit data but {shape_file} is missing")
     shape = (1,)
-    if raw_names:
-        shape = tuple(_read_shape(shape_file, ("height", "width", "channels")))
-    elif shape_file.exists():
-        shape = tuple(_read_shape(shape_file, ("channels",)))
+    if raw_names or shape_file.exists():
+        given = read_json_object(shape_file)
+        keys = ("height", "width", "channels") if raw_names else ("channels",)
+        shape = tuple(
+            check_value(f"{shape_file}: {key!r}", given.get(key), "a positive integer")
+            for key in keys
+        )
     images = [_read_image(src / name, shape) for name in names]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
@@ -564,14 +536,15 @@ _COMMANDS = {
 
 
 def exit_code(run: Callable[[], int]) -> int:
-    """``run()``, or the exit code of the library error it raises, printed as ``error: ...``."""
+    """``run()``, or the exit code of the library error it raises, printed as ``error: ...``;
+    a setting too large for memory is a data error."""
     try:
         return run()
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -1,5 +1,6 @@
 """Atomic file writes (temp file in the target directory + rename), the one writer
-of the package's CSV tables and JSON files, and the one reader of its input text."""
+of the package's CSV tables and JSON files, the one reader of its input text, and
+the one check of the values read from it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import io
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,31 @@ def write_text(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, value) -> None:
     """Write ``value`` as JSON indented by 2, keys sorted, with a final newline."""
     write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+# Each kind of value read from a flag, a config file or a file header, and the
+# test that a value parsed from text or JSON must pass; a bool is no number.
+KINDS = {
+    "a boolean": lambda v: type(v) is bool,
+    "an integer": lambda v: type(v) is int,
+    "a positive integer": lambda v: type(v) is int and v >= 1,
+    "an integer in [0, 2**64)": lambda v: type(v) is int and 0 <= v < 2**64,
+    # NaN compares false, and an int compares exactly, so one beyond float64 fails.
+    "a finite number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "a string": lambda v: type(v) is str,
+    "a list of finite numbers": lambda v: type(v) is list and all(map(KINDS["a finite number"], v)),
+    "a list of non-negative integers": (
+        lambda v: type(v) is list and all(type(d) is int and d >= 0 for d in v)
+    ),
+}
+
+
+def check_value(where: str, value, kind: str):
+    """``value`` if it is of ``kind``, a key of :data:`KINDS`, else a DataError
+    ``<where> must be <kind>, got <value>``."""
+    if not KINDS[kind](value):
+        raise DataError(f"{where} must be {kind}, got {value!r}")
+    return value
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -155,7 +155,7 @@ def read_records_csv(path: str | Path) -> np.recarray:
     header, rows = table[0], table[1:]
     if not rows:
         raise DataError(f"{path} contains no records")
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows, start=2):  # the header is row 1
         if len(row) != len(header):
             raise DataError(f"{path} row {i} has {len(row)} fields, its header {len(header)}")
     try:

@@ -9,7 +9,6 @@ standardize the pixels and a free-form provenance string.
 
 from __future__ import annotations
 
-import contextlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import read_json_object, write_bytes, write_json
+from .ioutil import check_value, read_json_object, write_bytes, write_json
 from .tensors import ChannelStats, ensure_stack
 
 MAGIC = b"MOL1"
@@ -91,17 +90,6 @@ def save_mol1(dataset: Mol1Dataset, path: str | Path) -> None:
     write_json(manifest_path(path), manifest)
 
 
-def _manifest_numbers(manifest: dict, key: str, mpath: Path) -> np.ndarray:
-    """The manifest's ``key`` field, which must be a list of JSON numbers."""
-    if key not in manifest:
-        raise DataError(f"manifest {mpath} has no {key!r} field")
-    value = manifest[key]
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-        with contextlib.suppress(OverflowError):  # an int beyond float64
-            return np.asarray(value, dtype=np.float64)
-    raise DataError(f"manifest {mpath} field {key!r} must be a list of float64 numbers")
-
-
 def load_mol1(path: str | Path) -> Mol1Dataset:
     """Read a container plus its manifest, validating sizes and ranges."""
     path = Path(path)
@@ -125,14 +113,15 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
     manifest = read_json_object(mpath)
-    stats = ChannelStats(
-        mean=_manifest_numbers(manifest, "mean", mpath),
-        std=_manifest_numbers(manifest, "std", mpath),
+    where = f"manifest {mpath} field"
+    mean, std = (
+        check_value(f"{where} {key!r}", manifest.get(key), "a list of finite numbers")
+        for key in ("mean", "std")
     )
     return Mol1Dataset(
         images=images,
         labels=labels,
         num_classes=int(num_classes),
-        stats=stats,
+        stats=ChannelStats(mean, std),
         provenance=str(manifest.get("provenance", "")),
     )

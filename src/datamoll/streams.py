@@ -2,9 +2,13 @@
 
 All randomness in the package flows through Philox generators keyed by an
 integer seed plus a tuple of integer tags.  Philox is counter-based, so a
-stream derived for (seed, tag, ...) is independent of every other derived
-stream and of the order in which streams are created; per-image draws stay
-reproducible under any batch parallelisation.
+stream does not depend on the order in which streams are created; per-image
+draws stay reproducible under any batch parallelisation.
+
+Keys must differ in a nonzero word: NumPy's ``SeedSequence`` ignores trailing
+zero words in a key of up to four 32-bit words, so ``stream(5, 1, 0)`` is
+``stream(5, 1)`` and the trainer's init stream ``stream(s, 0)`` is ``stream(s)``,
+which ``synth.grating_dataset(seed=s)`` draws from (no command uses both).
 """
 
 from __future__ import annotations

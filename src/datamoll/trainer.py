@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, TrainingDivergedError
-from .ioutil import read_json_object, write_bytes
+from .ioutil import check_value, read_json_object, write_bytes
 from .labels import soft_labels
 from .likelihood import log_normalizer_Z, log_normalizer_grad
 from .metrics import predictions
@@ -51,14 +51,13 @@ class TrainConfig:
     samples_per_image: int = 1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.hidden_units < 1:
-            raise ValueError("epochs, batch_size, and hidden_units must be >= 1")
+        for name in ("epochs", "batch_size", "hidden_units", "samples_per_image"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"initial learning rate must be positive and finite, got {self.lr}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.samples_per_image < 1:
-            raise ValueError("samples_per_image must be >= 1")
 
 
 @dataclass
@@ -269,12 +268,11 @@ def load_params(path: str | Path) -> tuple[MlpParams, dict]:
     header = read_json_object(f"{path} header", raw[8 : 8 + head_len])
     if not isinstance(header.get("shapes"), dict):
         raise DataError(f"{path} header has no valid 'shapes' field")
-    shapes = {name: header["shapes"].get(name) for name in ("w1", "b1", "w2", "b2")}
-    for name, shape in shapes.items():
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise DataError(
-                f"{path} header field 'shapes.{name}' must be a list of non-negative ints"
-            )
+    kind = "a list of non-negative integers"
+    shapes = {
+        name: check_value(f"{path} header field 'shapes.{name}'", header["shapes"].get(name), kind)
+        for name in ("w1", "b1", "w2", "b2")
+    }
     offset = 8 + head_len
     expected = offset + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) != expected:

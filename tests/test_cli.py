@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import datamoll
-from datamoll.cli import _DEFAULTS, build_parser, main
+from datamoll.cli import _DEFAULTS, build_parser, exit_code, main
 from datamoll.metrics import evaluate, read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
@@ -739,6 +739,41 @@ class TestConfigAndErrors:
         assert "argument --seed: expected an integer in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, field",
+        [
+            (["--batch-size", "0"], {}, "batch_size"),
+            (["--epochs", "0"], {}, "epochs"),
+            ([], {"train": {"hidden_units": 0}}, "hidden_units"),
+            ([], {"train": {"samples_per_image": 0}}, "samples_per_image"),
+        ],
+    )
+    def test_a_count_below_one_names_its_setting(
+        self, dataset_path, tmp_path, capsys, flags, config, field
+    ):
+        out = tmp_path / "o"
+        argv = ["train", "--dataset", str(dataset_path), "--out", str(out), *flags]
+        argv += ["--config", _write_config(tmp_path / "c.json", config)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    # A setting too large for memory, such as --t-steps 100000000000, makes NumPy
+    # raise MemoryError; it is raised here, not provoked, so nothing is allocated.
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_memory_error_is_one_data_error_line(self, capsys, exc, line):
+        def run():
+            raise exc
+
+        assert exit_code(run) == 3
+        assert capsys.readouterr().err == line
+
     def test_no_command_mutates_dataset(self, dataset_path, tmp_path):
         before = dataset_path.read_bytes()
         main(["mollify", "--dataset", str(dataset_path), "--out", str(tmp_path / "m")])
@@ -767,6 +802,10 @@ class TestConfigSchema:
             ({"dataset": 5}, "dataset"),
             ({"schedule": {"k_noise": float("nan")}}, "schedule.k_noise"),
             ({"train": {"lr": float("inf")}}, "train.lr"),
+            # Integers of 401 digits, finite as ints but not as float64.
+            ({"train": {"lr": 10**400}}, "train.lr"),
+            ({"schedule": {"sigma_max": 10**400}}, "schedule.sigma_max"),
+            ({"schedule": {"k_noise": -(10**400)}}, "schedule.k_noise"),
         ],
     )
     def test_rejects_with_key_path(self, dataset_path, tmp_path, capsys, config, key):

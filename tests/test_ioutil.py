@@ -2,7 +2,9 @@ import ast
 import csv
 import io
 import json
+import math
 import os
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datamoll.errors import DataError
-from datamoll.ioutil import read_json_object, read_lines, write_bytes, write_csv, write_json
+from datamoll.ioutil import (
+    KINDS, check_value, read_json_object, read_lines, write_bytes, write_csv, write_json
+)
 
 TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
 INTS = list(range(-3, len(TEXTS) - 3))
@@ -160,6 +164,36 @@ def _text_reads(tree: ast.Module) -> list[str]:
         if what is not None:
             found.append(f"line {call.lineno}: {what}")
     return found
+
+
+# Each kind of ioutil.KINDS, values of it and values that are not.
+KIND_CASES = [
+    ("a boolean", [True, False], [0, 1, "true", None]),
+    ("an integer", [0, -3, 10**400], [True, 1.0, "1", None]),
+    ("a positive integer", [1, 10**400], [0, -1, True, 1.0]),
+    ("an integer in [0, 2**64)", [0, 2**64 - 1], [-1, 2**64, True, 0.0]),
+    (
+        "a finite number",
+        [0, -2.5, 1e308, 10**308],
+        [10**400, -(10**400), math.nan, math.inf, -math.inf, True, "1", None],
+    ),
+    ("a string", ["", "x"], [None, 1, b"x"]),
+    ("a list of finite numbers", [[], [1, 2.5]], [(1.0,), [1, math.nan], [10**400], [True]]),
+    ("a list of non-negative integers", [[], [0, 3]], [[-1], [1.0], [True], (1,), [[1]], None]),
+]
+
+
+def test_every_kind_has_cases():
+    assert [kind for kind, _, _ in KIND_CASES] == list(KINDS)
+
+
+@pytest.mark.parametrize("kind, good, bad", KIND_CASES)
+def test_each_kind_takes_its_values_and_names_the_rest(kind, good, bad):
+    for value in good:
+        assert check_value("x", value, kind) is value
+    for value in bad:
+        with pytest.raises(DataError, match=re.escape(f"where must be {kind}, got {value!r}")):
+            check_value("where", value, kind)
 
 
 def test_only_ioutil_reads_text():

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -248,6 +249,21 @@ class TestReadRecordsCsvInput:
     def test_malformed_files_rejected(self, tmp_path, text):
         with pytest.raises(DataError):
             read_records_csv(self.write(tmp_path, text))
+
+    # A row is numbered by its line in the file, the header's being row 1, as
+    # ioutil numbers the line that is not UTF-8.
+    @pytest.mark.parametrize(
+        "third, message",
+        [
+            (b"1,a,0,0.5", "row 3 has 4 fields, its header 5"),
+            (b"1,\xff,0,0.5,0.5", "row 3: not UTF-8"),
+        ],
+    )
+    def test_rows_are_numbered_by_file_line(self, tmp_path, third, message):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"index,tag,true_class,p0,p1\n0,a,0,0.5,0.5\n" + third + b"\n")
+        with pytest.raises(DataError, match=re.escape(f"{path} {message}")):
+            read_records_csv(path)
 
     @settings(max_examples=200, deadline=None)
     @given(
