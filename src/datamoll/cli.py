@@ -297,7 +297,7 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
     if not labels_file.exists():
         raise DataError(f"missing {labels_file}")
     labels: dict[str, int] = {}
-    for line, row in enumerate(read_csv_rows(labels_file), start=1):
+    for line, row in read_csv_rows(labels_file):
         if not row or row[0].strip().lower() == "filename":
             continue
         where = f"{labels_file} row {line}"

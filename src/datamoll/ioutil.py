@@ -89,11 +89,12 @@ def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
         raise DataError(f"{path} row {row}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def read_csv_rows(path: str | Path) -> list[list[str]]:
-    """The rows of the CSV table in ``path``; a malformed row is a DataError naming it."""
+def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """The rows of the CSV table in ``path``, each with the number of its last line
+    in the file (a quoted field may span lines); a malformed row is a DataError naming it."""
     reader = csv.reader(read_lines(path))
     try:
-        return list(reader)
+        return [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise DataError(f"{path} row {reader.line_num}: not CSV ({exc})") from None
 

@@ -150,14 +150,16 @@ def write_records_csv(preds: np.ndarray, path: str | Path) -> None:
 def read_records_csv(path: str | Path) -> np.recarray:
     """Read a file written by :func:`write_records_csv`, validating every row."""
     table = read_csv_rows(path)
-    if not table or table[0][:3] != ["index", "tag", "true_class"]:
+    header = table[0][1] if table else []
+    if header[:3] != ["index", "tag", "true_class"]:
         raise DataError(f"{path} is not a prediction-record CSV")
-    header, rows = table[0], table[1:]
-    if not rows:
+    records = table[1:]
+    if not records:
         raise DataError(f"{path} contains no records")
-    for i, row in enumerate(rows, start=2):  # the header is row 1
+    for line, row in records:
         if len(row) != len(header):
-            raise DataError(f"{path} row {i} has {len(row)} fields, its header {len(header)}")
+            raise DataError(f"{path} row {line} has {len(row)} fields, its header {len(header)}")
+    rows = [row for _, row in records]
     try:
         probs = np.array([[float(v) for v in row[3:]] for row in rows])
         true_class = np.array([int(row[2]) for row in rows], dtype=np.int64)

@@ -31,12 +31,17 @@ from .streams import derive_seed, stream
 from .tensors import dct2d, ensure_image, ensure_image_or_stack, ensure_stack, idct2d
 
 
+def _mix(x: np.ndarray, eps: np.ndarray, alpha, sigma) -> np.ndarray:
+    """The noised image alpha*x + sigma*eps; ``alpha`` and ``sigma`` are scalars,
+    or per-image weights shaped to broadcast over a stack."""
+    return alpha * x + sigma * eps
+
+
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
     """Mix ``img`` with unit Gaussian noise: alpha*img + sigma*eps."""
     img = ensure_image(img)
     alpha, sigma = alpha_sigma(t)
-    eps = rng.standard_normal(img.shape)
-    return alpha * img + sigma * eps
+    return _mix(img, rng.standard_normal(img.shape), alpha, sigma)
 
 
 @lru_cache(maxsize=64)
@@ -87,33 +92,43 @@ def mollify_batch(
     the mode and temperature come from the stream keyed by ``(seed, i)``;
     the Gaussian noise comes from a stream keyed by the recorded
     ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
-    reproduces the stored image.
+    reproduces the stored image.  Each noise row draws its noise from its
+    own stream, and all noise rows are then mixed in one step; each blur
+    row is blurred on its own.
     """
     stack = ensure_stack(imgs)
     n = stack.shape[0]
-    images = np.empty_like(stack)
+    images = stack.copy()
     gammas = np.zeros(n)
     temps = np.zeros(n)
     noise_seeds = np.zeros(n, dtype=np.uint64)
     modes = np.full(n, "none", dtype="U5")
+    # Row i of eps and weights belongs to the i-th noise row, noisy[i].
+    eps = np.empty_like(stack)
+    noisy: list[int] = []
+    weights: list[tuple[float, float]] = []
     p_none, p_noise, _ = cfg.mode_probs
-    for idx, img in enumerate(stack):
+    for idx in range(n):
         decision = stream(seed, idx, _TAG_DECISION)
         u = decision.random()
         if u < p_none:
-            images[idx] = img
             continue
         t = temps[idx] = sample_temperature(decision, cfg)
         if u < p_none + p_noise:
             noise_seed = derive_seed(seed, idx, _TAG_NOISE)
-            images[idx] = noise_image(img, t, stream(noise_seed))
+            stream(noise_seed).standard_normal(out=eps[len(noisy)])
+            noisy.append(idx)
+            weights.append(alpha_sigma(t))
             gammas[idx] = gamma_noise(t, cfg.k_noise)
             noise_seeds[idx] = noise_seed
             modes[idx] = "noise"
         else:
-            images[idx] = blur_image(img, t, cfg)
+            images[idx] = blur_image(stack[idx], t, cfg)
             gammas[idx] = gamma_blur(t, cfg.k_blur)
             modes[idx] = "blur"
+    if noisy:
+        alpha, sigma = (np.array(w)[:, None, None, None] for w in zip(*weights))
+        images[noisy] = _mix(stack[noisy], eps[: len(noisy)], alpha, sigma)
     fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),
               ("mode", modes.dtype), ("t", np.float64), ("noise_seed", np.uint64)]
     return np.rec.fromarrays([images, gammas, modes, temps, noise_seeds], dtype=fields)

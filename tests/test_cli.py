@@ -155,6 +155,15 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "labels.csv row 3: bad label 'x'" in err
 
+    def test_a_label_row_after_a_field_spanning_lines_is_named_by_its_file_line(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "labels.csv").write_text('"a.csv\nx",0\nb.csv,z\n')
+        assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
+        assert capsys.readouterr().err == f"error: {src / 'labels.csv'} row 3: bad label 'z'\n"
+
     def test_labels_that_are_not_utf8_name_file_and_row(self, tmp_path, capsys):
         src = tmp_path / "src"
         src.mkdir()

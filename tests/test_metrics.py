@@ -265,6 +265,12 @@ class TestReadRecordsCsvInput:
         with pytest.raises(DataError, match=re.escape(f"{path} {message}")):
             read_records_csv(path)
 
+    def test_a_row_after_a_tag_spanning_lines_is_named_by_its_file_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b'index,tag,true_class,p0,p1\n0,"a\nb",0,0.5,0.5\n1,a,0,0.5\n')
+        with pytest.raises(DataError, match=re.escape(f"{path} row 4 has 4 fields, its header 5")):
+            read_records_csv(path)
+
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(

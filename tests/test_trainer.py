@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -16,6 +17,7 @@ from datamoll.labels import soft_labels
 from datamoll.mol1 import Mol1Dataset
 from datamoll.mollifier import mollify_batch
 from datamoll.schedules import ScheduleConfig
+from datamoll.synth import grating_dataset, standardized_dataset
 from datamoll.tensors import ChannelStats
 from datamoll.trainer import (
     MlpParams,
@@ -202,6 +204,18 @@ class TestTrain:
         for (_, a), (_, b) in zip(p1.blocks(), p2.blocks()):
             assert np.array_equal(a, b)
         assert [e.mean_loss for e in r1.epochs] == [e.mean_loss for e in r2.epochs]
+
+    def test_mollified_params_are_pinned(self):
+        # SHA-256 of the params, from the code before noise rows were mixed
+        # in one step: 2 mollified epochs of 2 batches on a grating split.
+        raw, labels = grating_dataset(256, seed=5)
+        ds = standardized_dataset(raw, labels, 4, provenance="gratings")
+        cfg = TrainConfig(schedule=ScheduleConfig.for_width(16), epochs=2, seed=2**63 + 9)
+        params, _ = train(ds, cfg)
+        digest = hashlib.sha256(b"".join(arr.tobytes() for _, arr in params.blocks()))
+        assert digest.hexdigest() == (
+            "4bba6898646daacce2845909034ca219aabd3fd3cc0ae0cdd4a14e17126d791d"
+        )
 
     def test_diverged_training_aborts(self):
         ds = blob_dataset(n=64)
