@@ -73,13 +73,18 @@ def manifest_path(path: str | Path) -> Path:
 
 
 def save_mol1(dataset: Mol1Dataset, path: str | Path) -> None:
-    """Write the container and its sidecar manifest atomically."""
+    """Write the container and its sidecar manifest atomically; a
+    FloatingPointError, and no file, if a pixel is not finite in float32."""
     path = Path(path)
     n, h, w, c = dataset.images.shape
+    with np.errstate(over="ignore"):
+        pixels = np.ascontiguousarray(dataset.images, dtype="<f4")
+    if not np.isfinite(pixels).all():
+        raise FloatingPointError(f"images of dataset {path} do not fit in float32")
     blob = bytearray()
     blob += MAGIC
     blob += _HEADER.pack(n, h, w, c, dataset.num_classes)
-    blob += np.ascontiguousarray(dataset.images, dtype="<f4").tobytes()
+    blob += pixels.tobytes()
     blob += np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes()
     write_bytes(path, bytes(blob))
     manifest = {

@@ -7,7 +7,9 @@ the DC coefficient is untouched, so blurring never shifts channel means.
 Batch mollification picks one transform (or none) per image, draws the
 temperature from the Beta prior, and attaches the matching label-decay
 weight.  All per-image randomness derives from (seed, image index), so
-outcomes do not depend on processing order.
+outcomes do not depend on processing order; a batch derives all its
+images' keys at once with :func:`streams.keys` and opens one generator per
+image from its key.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .schedules import (
     gamma_noise,
     sample_temperature,
 )
-from .streams import derive_seed, stream
+from .streams import keys, stream
 from .tensors import dct2d, ensure_image, ensure_image_or_stack, ensure_stack, idct2d
 
 
@@ -89,12 +91,15 @@ def mollify_batch(
     Returns a record array with one row per image and the fields ``image``
     (H, W, C), ``gamma``, ``mode`` (``"none"``, ``"noise"`` or ``"blur"``),
     ``t`` and ``noise_seed`` (0 unless the mode is noise).  For image ``i``
-    the mode and temperature come from the stream keyed by ``(seed, i)``;
+    the mode and temperature come from the stream keyed by ``(seed, i, 0)``;
     the Gaussian noise comes from a stream keyed by the recorded
     ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
-    reproduces the stored image.  Each noise row draws its noise from its
-    own stream, and all noise rows are then mixed in one step; each blur
-    row is blurred on its own.
+    reproduces the stored image.  The keys come in three passes of
+    :func:`keys`: every row's ``(seed, i, 0)`` decision key, then the noise
+    rows' ``(seed, i, 1)`` keys, whose child seeds are the noise seeds, then
+    the noise seeds' keys; each row's generator is ``stream(key)``.  Each
+    noise row draws its noise from its own stream, and all noise rows are
+    then mixed in one step; each blur row is blurred on its own.
     """
     stack = ensure_stack(imgs)
     n = stack.shape[0]
@@ -108,25 +113,25 @@ def mollify_batch(
     noisy: list[int] = []
     weights: list[tuple[float, float]] = []
     p_none, p_noise, _ = cfg.mode_probs
-    for idx in range(n):
-        decision = stream(seed, idx, _TAG_DECISION)
+    for idx, key in enumerate(keys(seed, np.arange(n), _TAG_DECISION)):
+        decision = stream(key)
         u = decision.random()
         if u < p_none:
             continue
         t = temps[idx] = sample_temperature(decision, cfg)
         if u < p_none + p_noise:
-            noise_seed = derive_seed(seed, idx, _TAG_NOISE)
-            stream(noise_seed).standard_normal(out=eps[len(noisy)])
             noisy.append(idx)
             weights.append(alpha_sigma(t))
             gammas[idx] = gamma_noise(t, cfg.k_noise)
-            noise_seeds[idx] = noise_seed
             modes[idx] = "noise"
         else:
             images[idx] = blur_image(stack[idx], t, cfg)
             gammas[idx] = gamma_blur(t, cfg.k_blur)
             modes[idx] = "blur"
     if noisy:
+        noise_seeds[noisy] = [key.child_seed for key in keys(seed, np.array(noisy), _TAG_NOISE)]
+        for row, key in enumerate(keys(noise_seeds[noisy])):
+            stream(key).standard_normal(out=eps[row])
         alpha, sigma = (np.array(w)[:, None, None, None] for w in zip(*weights))
         images[noisy] = _mix(stack[noisy], eps[: len(noisy)], alpha, sigma)
     fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,23 @@ class TestValidation:
         manifest = json.loads(manifest_path(path).read_text())
         assert set(manifest) == {"mean", "std", "provenance"}
         assert len(manifest["mean"]) == ds.channels
+
+    @pytest.mark.parametrize("pixel", [1e39, -1e39, np.finfo(np.float64).max])
+    def test_pixel_beyond_float32_is_refused_without_a_file(self, tmp_path, pixel):
+        ds = make_dataset(np.random.default_rng(7))
+        ds.images[2, 1, 3, 0] = pixel
+        path = tmp_path / "big.mol1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="big.mol1"):
+                save_mol1(ds, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_float32_pixel_round_trips(self, tmp_path):
+        ds = make_dataset(np.random.default_rng(8))
+        ds.images[0, 0, 0, 0] = np.finfo(np.float32).max
+        save_mol1(ds, tmp_path / "max.mol1")
+        assert load_mol1(tmp_path / "max.mol1").images[0, 0, 0, 0] == np.finfo(np.float32).max
 
 
 

@@ -249,6 +249,26 @@ class TestMollifyBatch:
         out = mollify_batch(imgs, cfg, seed=2**63 + 12345)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
+    # SHA-256 of the records, from the code that keyed each row's streams
+    # one at a time, at seeds where the key's word layout changes: the
+    # decision key (seed, row, 0) is 3, 4 or 5 words long.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "f1d09b9123ed094ef5cac971409d6a1df5938527948d47b5f0ec900fa2a5150b"),
+            (2**32 - 1, "591d4c5e04308d39255bd033bd73113d40cc8198ba1f10307964f0d7dabe1a3a"),
+            (2**32, "e7ea059857d51e6094351a0f23866fea0fa98ad95e88e1261e1b55a7a1a839b5"),
+            (2**64 - 1, "8298c462224491849a0b4610a1cb851705d14ca9a623ece3a24215edf93b0961"),
+            (2**64, "d38e2f2996806712d49c2c6cbdc3b9a1ffbca7929846e9f2dc9594234704f673"),
+        ],
+        ids=["0", "2**32-1", "2**32", "2**64-1", "2**64"],
+    )
+    def test_records_are_pinned_at_word_layout_boundaries(self, seed, digest):
+        shape = (40, 16, 16, 1)
+        imgs = np.random.default_rng(sum(shape)).standard_normal(shape)
+        out = mollify_batch(imgs, ScheduleConfig.for_width(16), seed=seed)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
     def test_empty_batch(self, cfg):
         out = mollify_batch(np.zeros((0, 4, 4, 1)), cfg, seed=0)
         assert len(out) == 0
