@@ -4,11 +4,11 @@ summaries of corruptions.
 The information curve measures how much losslessly compressible content a
 blur level leaves in a dataset: blur every image at temperature t,
 de-standardize, quantize to 8 bits, PNG-encode, and take the mean byte-size
-ratio against the t = 0 encoding.  Images are blurred and quantized a chunk
-at a time and encoded one by one; the sizes are those of blurring each
-image on its own.  Spectral deltas summarize a corruption by
-the mean absolute change it causes per DCT coefficient, optionally reduced
-to radial-frequency annuli.
+ratio against the t = 0 encoding.  Each chunk of images takes one forward
+DCT and one inverse per temperature, is quantized at once and is encoded
+image by image; the sizes are those of blurring each image on its own.
+Spectral deltas summarize a corruption by the mean absolute change it
+causes per DCT coefficient, optionally reduced to radial-frequency annuli.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .mollifier import blur_image, heat_blur
+from .mollifier import blur_from_dct, heat_blur
 from .png import png_size
 from .schedules import ScheduleConfig, blur_sigma, dissipation_time
 from .streams import stream
@@ -146,6 +146,11 @@ class InfoCurvePoint:
     mean_ratio: float
 
 
+def _check_channels(images: np.ndarray, stats: ChannelStats) -> None:
+    if images.shape[-1] != stats.channels:
+        raise DataError(f"images have {images.shape[-1]} channels but stats describe {stats.channels}")
+
+
 def quantize_for_png(images: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """De-standardize, clamp to [0, 1], and quantize to 8-bit pixels.
 
@@ -155,10 +160,7 @@ def quantize_for_png(images: np.ndarray, stats: ChannelStats) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     if images.ndim not in (3, 4):
         raise DataError(f"expected an (H, W, C) image or (N, H, W, C) stack, got {images.shape}")
-    if images.shape[-1] != stats.channels:
-        raise DataError(
-            f"images have {images.shape[-1]} channels but stats describe {stats.channels}"
-        )
+    _check_channels(images, stats)
     raw = np.clip(images * stats.std + stats.mean, 0.0, 1.0)
     return np.round(raw * 255.0).astype(np.uint8)
 
@@ -172,23 +174,27 @@ def info_curve(
     """PNG size ratios over a temperature grid (which must contain t = 0).
 
     ``images`` is an (N, H, W, C) stack or a sequence of equal-shape images
-    with 1 or 3 channels.  The baseline size of each image is its own
-    encoding at t = 0; since the schedule blurs at sigma_min even there, the
-    curve starts at exactly 1.
+    with 1 or 3 channels, as many as ``stats`` describes.  The baseline size
+    of each image is its own encoding at t = 0; since the schedule blurs at
+    sigma_min even there, the curve starts at exactly 1.  Each chunk takes
+    one forward DCT and, per temperature, one inverse: ``blur_image``'s arithmetic.
     """
     if len(images) == 0:
         raise DataError("info_curve needs a non-empty dataset")
     stack = ensure_stack(images)
     if stack.shape[3] not in (1, 3):
         raise DataError("PNG encoding supports 1- or 3-channel images only")
+    _check_channels(stack, stats)
     grid = [float(t) for t in t_grid]
     if 0.0 not in grid:
         raise DataError("the temperature grid must contain t = 0")
     sizes = np.empty((len(grid), len(stack)))
     for start in range(0, len(stack), _INFO_CHUNK):
         chunk = stack[start : start + _INFO_CHUNK]
+        coeffs = dct2d(chunk)
         for row, t in enumerate(grid):
-            pixels = quantize_for_png(blur_image(chunk, t, cfg), stats)
+            tau = dissipation_time(blur_sigma(t, cfg))
+            pixels = quantize_for_png(chunk if tau == 0.0 else blur_from_dct(coeffs, tau), stats)
             sizes[row, start : start + len(chunk)] = [png_size(img) for img in pixels]
     base = sizes[grid.index(0.0)]
     return [

@@ -67,10 +67,12 @@ def heat_blur(images: np.ndarray, tau: float) -> np.ndarray:
     """Evolve an (H, W, C) image, or each image of an (N, H, W, C) stack, under
     the heat equation for time ``tau`` (pixels^2)."""
     images = ensure_image_or_stack(images)
-    if tau == 0.0:
-        return images.copy()
-    mult = heat_multipliers(images.shape[-3], images.shape[-2], tau)
-    return idct2d(dct2d(images) * mult[:, :, None])
+    return images.copy() if tau == 0.0 else blur_from_dct(dct2d(images), tau)
+
+
+def blur_from_dct(coeffs: np.ndarray, tau: float) -> np.ndarray:
+    """:func:`heat_blur` after its :func:`dct2d`: ``coeffs`` attenuated for ``tau``, inverted."""
+    return idct2d(coeffs * heat_multipliers(coeffs.shape[-3], coeffs.shape[-2], tau)[:, :, None])
 
 
 def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:

@@ -15,6 +15,9 @@ import scipy.fft
 import scipy.fftpack
 
 from datamoll import synth
+from datamoll.analysis import quantize_for_png
+from datamoll.mollifier import blur_image
+from datamoll.png import png_size
 from datamoll.streams import stream
 from datamoll.tensors import idct2d
 
@@ -147,6 +150,16 @@ def naive_png_scanlines(pixels: np.ndarray) -> bytes:
         out.extend(best[2])
         prior = line
     return bytes(out)
+
+
+def info_curve_reference(images, stats, cfg, t_grid) -> list[float]:
+    """The information curve by its definition: per image, ``blur_image``,
+    ``quantize_for_png`` and ``png_size``; per temperature, the mean of the
+    size ratios against t = 0, taken in image order."""
+    sizes = {t: [png_size(quantize_for_png(blur_image(img, t, cfg), stats)) for img in images]
+             for t in t_grid}
+    base = np.array(sizes[0.0])
+    return [float(np.mean(np.array(sizes[t]) / base)) for t in t_grid]
 
 
 KERNEL_SHAPES = ((16, 16, 1), (32, 32, 1), (7, 5, 3), (13, 7, 2), (1, 1, 1))

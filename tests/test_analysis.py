@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from datamoll import analysis, mollifier
 from datamoll.analysis import (
     CORRUPTION_KINDS,
     _CONTRAST_FACTORS,
@@ -23,6 +24,7 @@ from datamoll.synth import fractal_textures
 from datamoll.tensors import ChannelStats, compute_channel_stats
 from tests.oracles import (
     exp_decay_fit,
+    info_curve_reference,
     kernel_inputs,
     loop_spectral_delta,
     mean_contrast,
@@ -208,6 +210,45 @@ class TestInfoCurve:
         points = info_curve(images, stats, cfg, np.linspace(0.0, 1.0, 6))
         ratios = np.array([p.mean_ratio for p in points])
         assert hashlib.sha256(ratios.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+    def test_equals_its_definition(self, count, channels):
+        # Chunks of 32 images: counts on both sides of one and two chunk edges.
+        gray = fractal_textures(count * channels, 8, 6, seed=count)
+        raw = np.concatenate(np.split(gray, channels), axis=3)
+        stats = compute_channel_stats(raw)
+        images = list((raw - stats.mean) / stats.std)
+        cfg = ScheduleConfig.for_width(6)
+        grid = [0.7, 0.0, 0.3, 0.7, 1.0]
+        points = info_curve(images, stats, cfg, grid)
+        assert [p.t for p in points] == grid
+        assert [p.mean_ratio for p in points] == info_curve_reference(images, stats, cfg, grid)
+
+    def test_equals_its_definition_when_tau_underflows(self):
+        # dissipation_time(1e-200) is 0.0, so t = 0 and 0.05 take heat_blur's
+        # copy branch.  Pixels half way between two 8-bit levels quantize
+        # differently after a DCT round trip, and so encode to other sizes.
+        rng = np.random.default_rng(0)
+        images = list((rng.integers(100, 102, size=(5, 16, 16, 1)) + 0.5) / 255)
+        stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
+        cfg = ScheduleConfig.for_width(16, sigma_min=1e-200)
+        grid = [0.0, 0.05, 0.5, 1.0]
+        points = info_curve(images, stats, cfg, grid)
+        assert [p.mean_ratio for p in points] == info_curve_reference(images, stats, cfg, grid)
+        assert points[2].mean_ratio != 1.0
+
+    def test_channel_mismatch_is_found_before_any_blur(self, texture_split, monkeypatch):
+        images, stats = texture_split
+        rgb = [np.repeat(img, 3, axis=2) for img in images[:2]]
+
+        def no_dct(_):
+            raise AssertionError("info_curve transformed images it should have refused")
+
+        monkeypatch.setattr(analysis, "dct2d", no_dct)
+        monkeypatch.setattr(mollifier, "dct2d", no_dct)
+        with pytest.raises(DataError, match="images have 3 channels but stats describe 1"):
+            info_curve(rgb, stats, ScheduleConfig.for_width(16), [0.0, 1.0])
 
     def test_stack_quantizes_as_its_images(self, texture_split):
         images, stats = texture_split

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -97,6 +98,39 @@ class TestFilterChoice:
     @pytest.mark.parametrize("pixels", [pytest.param(p, id=label) for label, p in filter_cases()])
     def test_idat_is_the_naive_selector_compressed(self, pixels):
         assert idat_payload(encode_png(pixels)) == zlib.compress(naive_png_scanlines(pixels))
+
+
+class TestPinnedBytes:
+    # Digests of the encoder's output as the per-filter candidate stack built it.
+    def test_filter_cases_are_pinned(self):
+        digest = hashlib.sha256()
+        for _, pixels in filter_cases():
+            data = encode_png(pixels)
+            assert png_size(pixels) == len(data)
+            digest.update(data)
+        assert digest.hexdigest() == "73d2cc0e8f9a9b7fa9282ff6972f19a4212a5ff462eae4b5eb2d2e19796c1cdd"
+
+    @pytest.mark.parametrize(
+        "kind,seed,size,digest",
+        [
+            ("random", 1, 3143, "a383dd5d76e9c76f749135b264396bf67bb74065e5d6603c83a5e8dfc67e30aa"),
+            ("levels", 2, 1067, "354c161bc4b1aa7c27d0a238d0ed8c7bf5583249921aed41ff757650238cd6ae"),
+            ("ramp", None, 89, "e78c2b0395c287e3be953f014c5df2e69ab501341c6d09f6494c496ec6db0934"),
+        ],
+    )
+    def test_rows_whose_sums_overflow_int16_are_pinned(self, kind, seed, size, digest):
+        # 1024 gray or 1200 RGB bytes a row: sums can pass 2**15.  A ramp row's
+        # None sum is 4 * 16384, which wraps to 0 in int16, under Sub's 1023.
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            pixels = rng.integers(0, 256, size=(3, 1024), dtype=np.uint8)
+        elif kind == "levels":
+            pixels = np.array([0, 1, 127, 128, 254, 255], dtype=np.uint8)[rng.integers(0, 6, size=(2, 400, 3))]
+        else:
+            pixels = np.add.outer(np.arange(3), np.arange(1024)).astype(np.uint8)
+        data = encode_png(pixels)
+        assert png_size(pixels) == len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestEncoder:
