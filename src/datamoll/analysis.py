@@ -194,7 +194,7 @@ def info_curve(
         coeffs = dct2d(chunk)
         for row, t in enumerate(grid):
             tau = dissipation_time(blur_sigma(t, cfg))
-            pixels = quantize_for_png(chunk if tau == 0.0 else blur_from_dct(coeffs, tau), stats)
+            pixels = quantize_for_png(blur_from_dct(coeffs, tau), stats)
             sizes[row, start : start + len(chunk)] = [png_size(img) for img in pixels]
     base = sizes[grid.index(0.0)]
     return [

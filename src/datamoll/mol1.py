@@ -109,6 +109,8 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
         raise DataError(
             f"{path} has {len(raw)} bytes, expected {expected} for N={n} H={h} W={w} C={c}"
         )
+    if n == 0:  # Mol1Dataset's check, before a reshape NumPy refuses at a huge H*W*C
+        raise DataError("dataset is empty")
     offset = 4 + _HEADER.size
     images = np.frombuffer(raw, dtype="<f4", count=n * h * w * c, offset=offset)
     images = images.astype(np.float64).reshape(n, h, w, c)

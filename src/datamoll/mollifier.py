@@ -7,9 +7,9 @@ the DC coefficient is untouched, so blurring never shifts channel means.
 Batch mollification picks one transform (or none) per image, draws the
 temperature from the Beta prior, and attaches the matching label-decay
 weight.  All per-image randomness derives from (seed, image index), so
-outcomes do not depend on processing order; a batch derives all its
+outcomes do not depend on processing order: a batch derives all its
 images' keys at once with :func:`streams.keys` and opens one generator per
-image from its key.
+image, which draws the image's mode, then its temperature, then its noise.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:
     return heat_blur(img, dissipation_time(blur_sigma(t, cfg)))
 
 
-# Tags for deriving independent per-image sub-streams.
+# The tag of image i's stream, keyed by (seed, i, _TAG_DECISION).
 _TAG_DECISION = 0
-_TAG_NOISE = 1
 
 
 def mollify_batch(
@@ -91,24 +90,19 @@ def mollify_batch(
     """Independently mollify each image of a ``(B, H, W, C)`` stack.
 
     Returns a record array with one row per image and the fields ``image``
-    (H, W, C), ``gamma``, ``mode`` (``"none"``, ``"noise"`` or ``"blur"``),
-    ``t`` and ``noise_seed`` (0 unless the mode is noise).  For image ``i``
-    the mode and temperature come from the stream keyed by ``(seed, i, 0)``;
-    the Gaussian noise comes from a stream keyed by the recorded
-    ``noise_seed``, so ``noise_image(img, t, stream(noise_seed))``
-    reproduces the stored image.  The keys come in three passes of
-    :func:`keys`: every row's ``(seed, i, 0)`` decision key, then the noise
-    rows' ``(seed, i, 1)`` keys, whose child seeds are the noise seeds, then
-    the noise seeds' keys; each row's generator is ``stream(key)``.  Each
-    noise row draws its noise from its own stream, and all noise rows are
-    then mixed in one step; each blur row is blurred on its own.
+    (H, W, C), ``gamma``, ``mode`` (``"none"``, ``"noise"`` or ``"blur"``)
+    and ``t``.  Image ``i`` draws from one stream, ``rng = stream(seed, i, 0)``:
+    the mode's uniform ``rng.random()``, then, unless the mode is none,
+    ``t = sample_temperature(rng, cfg)``, then, for a noise row, the noise
+    that ``noise_image(img, t, rng)`` draws, so that call replays the row.
+    The batch's keys come from one :func:`keys` pass; its noise rows are
+    mixed in one step and its blur rows blurred one by one.
     """
     stack = ensure_stack(imgs)
     n = stack.shape[0]
     images = stack.copy()
     gammas = np.zeros(n)
     temps = np.zeros(n)
-    noise_seeds = np.zeros(n, dtype=np.uint64)
     modes = np.full(n, "none", dtype="U5")
     # Row i of eps and weights belongs to the i-th noise row, noisy[i].
     eps = np.empty_like(stack)
@@ -116,12 +110,13 @@ def mollify_batch(
     weights: list[tuple[float, float]] = []
     p_none, p_noise, _ = cfg.mode_probs
     for idx, key in enumerate(keys(seed, np.arange(n), _TAG_DECISION)):
-        decision = stream(key)
-        u = decision.random()
+        rng = stream(key)
+        u = rng.random()
         if u < p_none:
             continue
-        t = temps[idx] = sample_temperature(decision, cfg)
+        t = temps[idx] = sample_temperature(rng, cfg)
         if u < p_none + p_noise:
+            rng.standard_normal(out=eps[len(noisy)])
             noisy.append(idx)
             weights.append(alpha_sigma(t))
             gammas[idx] = gamma_noise(t, cfg.k_noise)
@@ -131,11 +126,8 @@ def mollify_batch(
             gammas[idx] = gamma_blur(t, cfg.k_blur)
             modes[idx] = "blur"
     if noisy:
-        noise_seeds[noisy] = [key.child_seed for key in keys(seed, np.array(noisy), _TAG_NOISE)]
-        for row, key in enumerate(keys(noise_seeds[noisy])):
-            stream(key).standard_normal(out=eps[row])
         alpha, sigma = (np.array(w)[:, None, None, None] for w in zip(*weights))
         images[noisy] = _mix(stack[noisy], eps[: len(noisy)], alpha, sigma)
     fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),
-              ("mode", modes.dtype), ("t", np.float64), ("noise_seed", np.uint64)]
-    return np.rec.fromarrays([images, gammas, modes, temps, noise_seeds], dtype=fields)
+              ("mode", modes.dtype), ("t", np.float64)]
+    return np.rec.fromarrays([images, gammas, modes, temps], dtype=fields)

@@ -13,6 +13,7 @@ of image information removed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class ScheduleConfig:
             raise ValueError(
                 f"need 0 < sigma_min < sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})"
             )
+        if dissipation_time(self.sigma_min) < sys.float_info.min:  # so tau > 0 at every t
+            raise ValueError(f"sigma_min {self.sigma_min} is too small: dissipation time underflows")
         if not (0 < self.k_noise < math.inf and 0 < self.k_blur < math.inf):
             raise ValueError("label-decay slopes k_noise and k_blur must be positive and finite")
         if not (0 < self.beta_alpha < math.inf and 0 < self.beta_beta < math.inf):

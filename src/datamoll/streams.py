@@ -207,11 +207,6 @@ class Key(ISeedSequence):
         self.pool = pool
         self.philox_key = philox_key
 
-    @property
-    def child_seed(self) -> int:
-        """``derive_seed`` of the key's values."""
-        return int(self.philox_key[0])
-
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         dtype = np.dtype(dtype)
         if dtype == np.uint64 and n_words <= 2:

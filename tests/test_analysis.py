@@ -225,18 +225,11 @@ class TestInfoCurve:
         assert [p.t for p in points] == grid
         assert [p.mean_ratio for p in points] == info_curve_reference(images, stats, cfg, grid)
 
-    def test_equals_its_definition_when_tau_underflows(self):
-        # dissipation_time(1e-200) is 0.0, so t = 0 and 0.05 take heat_blur's
-        # copy branch.  Pixels half way between two 8-bit levels quantize
-        # differently after a DCT round trip, and so encode to other sizes.
-        rng = np.random.default_rng(0)
-        images = list((rng.integers(100, 102, size=(5, 16, 16, 1)) + 0.5) / 255)
-        stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
-        cfg = ScheduleConfig.for_width(16, sigma_min=1e-200)
-        grid = [0.0, 0.05, 0.5, 1.0]
-        points = info_curve(images, stats, cfg, grid)
-        assert [p.mean_ratio for p in points] == info_curve_reference(images, stats, cfg, grid)
-        assert points[2].mean_ratio != 1.0
+    def test_a_sigma_min_whose_tau_underflows_is_refused(self):
+        # dissipation_time(1e-200) is 0.0: blurring at t = 0 would be a copy
+        # and at t = 0.5 a DCT round trip, so the curve would not start at 1.
+        with pytest.raises(ValueError, match="sigma_min 1e-200 is too small"):
+            ScheduleConfig.for_width(16, sigma_min=1e-200)
 
     def test_channel_mismatch_is_found_before_any_blur(self, texture_split, monkeypatch):
         images, stats = texture_split

@@ -452,6 +452,15 @@ class TestInfocurveAndSpectra:
         assert len(rows) == 4
         assert float(rows[0][2]) == approx(1.0, abs=1e-9)
 
+    def test_sigma_min_whose_tau_underflows_is_one_error_line(self, dataset_path, tmp_path, capsys):
+        config = _write_config(tmp_path / "c.json", {"schedule": {"sigma_min": 1e-200}})
+        out = tmp_path / "ic"
+        argv = ["infocurve", "--dataset", str(dataset_path), "--out", str(out), "--config", config]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma_min 1e-200 is too small") and err.count("\n") == 1
+        assert not (out / "infocurve.csv").exists()
+
     def test_spectra_outputs(self, dataset_path, tmp_path):
         out = tmp_path / "sp"
         assert main(["spectra", "--dataset", str(dataset_path), "--out", str(out)]) == 0

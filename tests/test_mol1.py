@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datamoll.errors import DataError
@@ -164,6 +164,8 @@ class TestFuzzedFiles:
         header=st.tuples(*[st.integers(0, 3)] * 5) | st.tuples(*[st.integers(0, 2**32 - 1)] * 5),
         body=st.binary(max_size=96),
     )
+    # An empty container whose dims NumPy cannot reshape to.
+    @example(header=(0, 17135, 17135, 3926734358, 0), body=b"")
     def test_fuzzed_container_loads_or_raises_data_error(self, header, body):
         ds = make_dataset(np.random.default_rng(6), c=1)
         with tempfile.TemporaryDirectory() as tmp:

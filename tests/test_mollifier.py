@@ -14,7 +14,14 @@ from datamoll.mollifier import (
     mollify_batch,
     noise_image,
 )
-from datamoll.schedules import ScheduleConfig, blur_sigma, dissipation_time, gamma_blur, gamma_noise
+from datamoll.schedules import (
+    ScheduleConfig,
+    blur_sigma,
+    dissipation_time,
+    gamma_blur,
+    gamma_noise,
+    sample_temperature,
+)
 from datamoll.streams import stream
 from datamoll.tensors import dct2d, idct2d
 from tests.oracles import closed_form_heat_multipliers
@@ -203,16 +210,21 @@ class TestMollifyBatch:
                 assert ex.gamma == gamma_blur(ex.t, cfg.k_blur)
 
     def test_noise_seed_reproduces_image(self, cfg):
+        # Row i's stream (seed, i, 0) draws u, then t, then the noise.
         rng = np.random.default_rng(14)
-        imgs = rng.standard_normal((64, 6, 6, 1))
-        out = mollify_batch(imgs, cfg, seed=33)
-        noisy = np.flatnonzero(out.mode == "noise")
-        assert noisy.size
-        assert np.all(out.noise_seed[out.mode != "noise"] == 0)
-        for idx in noisy:
-            ex = out[idx]
-            redo = noise_image(imgs[idx], ex.t, stream(ex.noise_seed))
-            assert np.array_equal(redo, ex.image)
+        imgs = rng.standard_normal((64, 6, 6, 2))
+        p_none, p_noise, _ = cfg.mode_probs
+        for seed in (33, 2**64 - 1):
+            out = mollify_batch(imgs, cfg, seed=seed)
+            assert out.dtype.names == ("image", "gamma", "mode", "t")
+            noisy = np.flatnonzero(out.mode == "noise")
+            assert noisy.size
+            for idx in noisy:
+                row = stream(seed, int(idx), 0)
+                assert p_none <= row.random() < p_none + p_noise
+                t = sample_temperature(row, cfg)
+                assert t == out.t[idx]
+                assert np.array_equal(noise_image(imgs[idx], t, row), out.image[idx])
 
     def test_order_independence_of_per_image_draws(self, cfg):
         # the i-th example's parameters depend only on (seed, i), never on
@@ -223,23 +235,25 @@ class TestMollifyBatch:
         prefix = mollify_batch(imgs[:4], cfg, seed=3)
         assert prefix.tobytes() == full[:4].tobytes()
 
-    # SHA-256 of the records, from the code before noise rows were mixed in
-    # one step; the 64-bit seed keys every stream with multi-word keys.
+    # SHA-256 of the records, from the code whose rows draw their noise from
+    # their own stream; the blur-only digests equal those of the code before
+    # it, whose records also held a noise_seed field, without that field.
+    # The 64-bit seed keys every stream with multi-word keys.
     @pytest.mark.parametrize(
         "mode_probs, shape, digest",
         [
             ((1 / 3, 1 / 3, 1 / 3), (40, 16, 16, 1),
-             "008119ebfd28cbb5e73d1d822c341cb5fbcc09b56fc8eea6b3877c63ac39784a"),
+             "616d0731db6854cf568072ff651a2b7e425e80afa347947c4e0d80c5305feb25"),
             ((1 / 3, 1 / 3, 1 / 3), (24, 12, 10, 3),
-             "08da27d22b47764e64ca713feeade857a7bf0a324cc59ecee726dd324c1360c4"),
+             "b41b385c47ec38cacd08dfd3b9f4f8f9c7552a5457d07371bac1ab04c47e1796"),
             ((0.0, 1.0, 0.0), (40, 16, 16, 1),
-             "7a5abfbe25dcaa80ace794bd3cbad22becff0f9d50cdda1df305621a3d549b98"),
+             "dd034c79a85338e54a8ee8758a1e0127ee6074912b80de0057661266e1f52668"),
             ((0.0, 1.0, 0.0), (24, 12, 10, 3),
-             "5199493a0b68f85ea993eba19160c5ccea8368985e8f2f3d721572b4cf0104eb"),
+             "4f66296a73d1167c9a7562379860d87e284449527827d6d8082ef649639152d4"),
             ((0.0, 0.0, 1.0), (40, 16, 16, 1),
-             "c2cbab6f5367f553d04cd3cc48a30acfaf5960c11494959dd809a69a9981523b"),
+             "61c8eeeca3d4abc3358f8e025fc2854b0f2e7094a6302016df4c3b73ce3d6c33"),
             ((0.0, 0.0, 1.0), (24, 12, 10, 3),
-             "0f5bd235a08b2b2ff1cb734c70d9278da1dc4f0da37ef39419a88fc33fa96137"),
+             "5eb3ba3269e3d5efa06a529cf7ebb2136eb3b2526fbc599c8bc8c0ca0e8e011a"),
         ],
         ids=["default-gray", "default-rgb", "noise-gray", "noise-rgb", "blur-gray", "blur-rgb"],
     )
@@ -249,17 +263,17 @@ class TestMollifyBatch:
         out = mollify_batch(imgs, cfg, seed=2**63 + 12345)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
-    # SHA-256 of the records, from the code that keyed each row's streams
-    # one at a time, at seeds where the key's word layout changes: the
-    # decision key (seed, row, 0) is 3, 4 or 5 words long.
+    # SHA-256 of the records, from the code whose rows draw their noise from
+    # their own stream, at seeds where the key's word layout changes: the
+    # key (seed, row, 0) is 3, 4 or 5 words long.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "f1d09b9123ed094ef5cac971409d6a1df5938527948d47b5f0ec900fa2a5150b"),
-            (2**32 - 1, "591d4c5e04308d39255bd033bd73113d40cc8198ba1f10307964f0d7dabe1a3a"),
-            (2**32, "e7ea059857d51e6094351a0f23866fea0fa98ad95e88e1261e1b55a7a1a839b5"),
-            (2**64 - 1, "8298c462224491849a0b4610a1cb851705d14ca9a623ece3a24215edf93b0961"),
-            (2**64, "d38e2f2996806712d49c2c6cbdc3b9a1ffbca7929846e9f2dc9594234704f673"),
+            (0, "ba0cb5d4cffcabc6c08ff842e57f496e85a97d2f77a2747692d06f92ff1db980"),
+            (2**32 - 1, "f2fe12f6a6d86384f6cc7acc986c909c8e73dd293bb26efbef96d3b2817b019d"),
+            (2**32, "ccf9951a624d0e569be73e40104263f793bf488098b311e95f51360fb42bae2c"),
+            (2**64 - 1, "69d44f0b5591d8cff00a2bb3e08f4038127f1b84eddd5082669b394c3c40d228"),
+            (2**64, "5c805a0124f55a961d51960f1754c4242e076ab966184ba4022def9395edebd5"),
         ],
         ids=["0", "2**32-1", "2**32", "2**64-1", "2**64"],
     )

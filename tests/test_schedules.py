@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,11 +44,30 @@ class TestConfig:
             {"sigma_max": 16.0, "beta_beta": math.nan},
             {"sigma_max": 16.0, "mode_probs": (math.nan, 0.5, 0.5)},
             {"sigma_max": 16.0, "mode_probs": (0.5, math.nan, 0.5)},
+            {"sigma_max": 16.0, "sigma_min": 1e-200},  # dissipation time underflows to 0
+            {"sigma_max": 16.0, "sigma_min": 2e-154},  # ... or below the smallest normal
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScheduleConfig(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scale=st.floats(0.5, 1e3),
+        sigma_max=st.floats(1e-150, 1e300),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_dissipation_time_is_positive_near_the_smallest_sigma_min(self, scale, sigma_max, t):
+        # sqrt(2 * float_info.min) is the smallest sigma_min whose
+        # dissipation time is a normal float.
+        sigma_min = math.sqrt(2 * sys.float_info.min) * scale
+        try:
+            cfg = ScheduleConfig(sigma_max=max(sigma_max, 2 * sigma_min), sigma_min=sigma_min)
+        except ValueError:
+            assert dissipation_time(sigma_min) < sys.float_info.min
+            return
+        assert dissipation_time(blur_sigma(t, cfg)) > 0.0
 
 
 class TestAlphaSigma:

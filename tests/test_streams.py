@@ -98,7 +98,7 @@ def _assert_rows_keyed_as_numpy_keys(values: list) -> None:
         assert np.array_equal(key.pool, numpy_key.pool)
         for n_words, dtype in [(2, np.uint64), (1, np.uint64), (4, np.uint32), (5, np.uint64), (9, np.uint32)]:
             assert np.array_equal(key.generate_state(n_words, dtype), numpy_key.generate_state(n_words, dtype))
-        assert int(child) == key.child_seed == _numpy_child_seed(row)
+        assert int(child) == _numpy_child_seed(row)
     assert np.array_equal(stream(row_keys[-1]).random(8), _numpy_stream(rows[-1]).random(8))
     assert np.array_equal(stream(row_keys[0]).random(8), stream(*rows[0]).random(8))
 

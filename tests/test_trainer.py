@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.special import logsumexp
 
+from datamoll import mollifier, trainer
 from datamoll.errors import DataError, TrainingDivergedError
 from datamoll.labels import soft_labels
 from datamoll.mol1 import Mol1Dataset
@@ -206,16 +207,42 @@ class TestTrain:
         assert [e.mean_loss for e in r1.epochs] == [e.mean_loss for e in r2.epochs]
 
     def test_mollified_params_are_pinned(self):
-        # SHA-256 of the params, from the code before noise rows were mixed
-        # in one step: 2 mollified epochs of 2 batches on a grating split.
+        # SHA-256 of the params, from the code whose rows draw their noise
+        # from their own stream: 2 mollified epochs of 2 batches on a
+        # grating split.
         raw, labels = grating_dataset(256, seed=5)
         ds = standardized_dataset(raw, labels, 4, provenance="gratings")
         cfg = TrainConfig(schedule=ScheduleConfig.for_width(16), epochs=2, seed=2**63 + 9)
         params, _ = train(ds, cfg)
         digest = hashlib.sha256(b"".join(arr.tobytes() for _, arr in params.blocks()))
         assert digest.hexdigest() == (
-            "4bba6898646daacce2845909034ca219aabd3fd3cc0ae0cdd4a14e17126d791d"
+            "8a2e2c4b9bcac61651df9914ad19b3a5f4af8fdaabd5211058a12bcdb4101a9e"
         )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("samples_per_image", [1, 2])
+    def test_every_stream_has_its_own_philox_key(self, monkeypatch, seed, samples_per_image):
+        # The init stream, each epoch's shuffle stream and every mollified
+        # row's stream: NumPy's SeedSequence ignores trailing zero key words,
+        # so distinct key tuples can still name one stream.
+        opened = []
+
+        def recording_stream(*key):
+            rng = real_stream(*key)
+            opened.append(tuple(int(w) for w in rng.bit_generator.state["state"]["key"]))
+            return rng
+
+        real_stream = trainer.stream
+        monkeypatch.setattr(trainer, "stream", recording_stream)
+        monkeypatch.setattr(mollifier, "stream", recording_stream)
+        ds = blob_dataset(n=48)
+        cfg = TrainConfig(
+            schedule=ScheduleConfig.for_width(4), epochs=2, batch_size=16, seed=seed,
+            samples_per_image=samples_per_image,
+        )
+        train(ds, cfg)
+        assert len(opened) == 1 + cfg.epochs * (1 + ds.count * samples_per_image)
+        assert len(set(opened)) == len(opened)
 
     def test_diverged_training_aborts(self):
         ds = blob_dataset(n=64)
