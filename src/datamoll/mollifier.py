@@ -60,7 +60,8 @@ def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     """Per-frequency attenuation exp(-tau * pi^2 (w^2/W^2 + h^2/H^2))."""
     if not 0 <= tau < math.inf:
         raise ValueError(f"dissipation time must be finite and non-negative, got {tau}")
-    return np.exp(-tau * _heat_rates(height, width))
+    with np.errstate(over="ignore"):  # -tau * rate overflows to -inf, and exp(-inf) = 0 exactly
+        return np.exp(-tau * _heat_rates(height, width))
 
 
 def heat_blur(images: np.ndarray, tau: float) -> np.ndarray:

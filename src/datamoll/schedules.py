@@ -48,6 +48,8 @@ class ScheduleConfig:
             )
         if dissipation_time(self.sigma_min) < sys.float_info.min:  # so tau > 0 at every t
             raise ValueError(f"sigma_min {self.sigma_min} is too small: dissipation time underflows")
+        if not math.isfinite(dissipation_time(self.sigma_max)):  # so tau < inf at every t
+            raise ValueError(f"sigma_max {self.sigma_max} is too large: dissipation time overflows")
         if not (0 < self.k_noise < math.inf and 0 < self.k_blur < math.inf):
             raise ValueError("label-decay slopes k_noise and k_blur must be positive and finite")
         if not (0 < self.beta_alpha < math.inf and 0 < self.beta_beta < math.inf):

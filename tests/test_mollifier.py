@@ -124,6 +124,23 @@ class TestBlur:
         assert mult[0, 0] == 1.0
         assert np.all(mult <= 1.0) and np.all(mult > 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_multipliers_whose_exponent_overflows_are_exact_limits(self):
+        # -tau * rate overflows to -inf for every rate but DC's 0, and
+        # exp(-inf) = 0 is exact, so no warning is due.
+        expected = np.zeros((16, 16))
+        expected[0, 0] = 1.0
+        assert np.array_equal(heat_multipliers(16, 16, 1e308), expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_full_blur_at_the_largest_sigma_max_is_each_channel_mean(self):
+        # sigma_max = 1.8e154 has a finite dissipation time, 1.62e308.
+        cfg = ScheduleConfig(sigma_max=1.8e154)
+        stack = np.random.default_rng(12).standard_normal((3, 16, 12, 2))
+        means = np.broadcast_to(stack.mean(axis=(1, 2), keepdims=True), stack.shape)
+        assert blur_image(stack, 1.0, cfg) == approx(means, abs=1e-12)
+        assert blur_image(stack[0], 1.0, cfg) == approx(means[0], abs=1e-12)
+
     def test_multipliers_equal_the_closed_form_exactly(self):
         taus = [0.0, 1e-3, 0.125, 0.5, 2.0, 7.3, 32.0, 1e4]
         for h, w in [(16, 16), (13, 7), (1, 1), (2, 9), (32, 32)]:

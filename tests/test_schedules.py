@@ -46,6 +46,7 @@ class TestConfig:
             {"sigma_max": 16.0, "mode_probs": (0.5, math.nan, 0.5)},
             {"sigma_max": 16.0, "sigma_min": 1e-200},  # dissipation time underflows to 0
             {"sigma_max": 16.0, "sigma_min": 2e-154},  # ... or below the smallest normal
+            {"sigma_max": 1e200},  # dissipation time overflows to inf
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -62,12 +63,18 @@ class TestConfig:
         # sqrt(2 * float_info.min) is the smallest sigma_min whose
         # dissipation time is a normal float.
         sigma_min = math.sqrt(2 * sys.float_info.min) * scale
+        sigma_max = max(sigma_max, 2 * sigma_min)
         try:
-            cfg = ScheduleConfig(sigma_max=max(sigma_max, 2 * sigma_min), sigma_min=sigma_min)
+            cfg = ScheduleConfig(sigma_max=sigma_max, sigma_min=sigma_min)
         except ValueError:
-            assert dissipation_time(sigma_min) < sys.float_info.min
+            # Either bound may be the cause: a sigma_max above about 1.9e154
+            # has a dissipation time that overflows to inf.
+            assert (
+                dissipation_time(sigma_min) < sys.float_info.min
+                or dissipation_time(sigma_max) == math.inf
+            )
             return
-        assert dissipation_time(blur_sigma(t, cfg)) > 0.0
+        assert 0.0 < dissipation_time(blur_sigma(t, cfg)) < math.inf
 
 
 class TestAlphaSigma:

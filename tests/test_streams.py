@@ -67,8 +67,9 @@ def test_a_trailing_zero_word_names_the_same_stream():
     assert derive_seed(5, 2) != derive_seed(5, 1)
 
 
-# Array values are uint64: every value of VALUES but 2**100, and any other.
-ARRAY_VALUES = st.sampled_from(VALUES[:-1]) | st.integers(0, 2**64 - 1)
+# Array values are one uint32 word each: the word boundaries of VALUES below
+# 2**32, and any other value in [0, 2**32).
+ARRAY_VALUES = st.sampled_from(VALUES[:3]) | st.integers(0, 2**32 - 1)
 
 
 @st.composite
@@ -94,10 +95,7 @@ def _assert_rows_keyed_as_numpy_keys(values: list) -> None:
     assert len(row_keys) == len(child_seeds) == len(rows)
     assert child_seeds.dtype == np.uint64
     for row, key, child in zip(rows, row_keys, child_seeds):
-        numpy_key = np.random.SeedSequence(row)
-        assert np.array_equal(key.pool, numpy_key.pool)
-        for n_words, dtype in [(2, np.uint64), (1, np.uint64), (4, np.uint32), (5, np.uint64), (9, np.uint32)]:
-            assert np.array_equal(key.generate_state(n_words, dtype), numpy_key.generate_state(n_words, dtype))
+        assert np.array_equal(key.philox_key, np.random.SeedSequence(row).generate_state(2, np.uint64))
         assert int(child) == _numpy_child_seed(row)
     assert np.array_equal(stream(row_keys[-1]).random(8), _numpy_stream(rows[-1]).random(8))
     assert np.array_equal(stream(row_keys[0]).random(8), stream(*rows[0]).random(8))
@@ -112,12 +110,8 @@ def test_each_row_of_an_array_key_draws_what_numpy_draws_from_the_row(values):
 @pytest.mark.parametrize(
     "values",
     [
-        # Rows of 3 and 4 words: zero padding to the pool is exact.
-        [7, np.array([1, 2**32, 2**32 - 1, 2**40, 0], dtype=np.uint64), 3],
-        # Rows of 5 and 6 words: beyond the pool each length is hashed apart.
-        [2**64, np.array([5, 2**33, 0, 2**64 - 1], dtype=np.uint64), 0],
-        [np.array([2**32 - 1, 2**32, 1, 2**64 - 1], dtype=np.uint64), 2**100, 6],
-        # A seed of 2**64 or more with a row and a tag is 5 words or more.
+        # A seed of 2**64 or more with a row and a tag is 5 words or more:
+        # beyond the pool a trailing zero word changes the key.
         [2**64 + 9, np.arange(4), 1],
         [2**100, np.arange(3), np.array([2, 0, 1])],
         # Row 0 with tag 0 ends in trailing zero words.
@@ -125,12 +119,42 @@ def test_each_row_of_an_array_key_draws_what_numpy_draws_from_the_row(values):
         [2**64 - 1, np.arange(3), 0],
         [2**64, np.arange(3), 0],
         [0, np.array([0]), 0, 0],
+        # The largest array value is one word.
+        [7, np.array([2**32 - 1, 0, 2**32 - 2], dtype=np.uint64), 3],
     ],
-    ids=["3-4-words", "5-6-words", "2-3-words-then-4", "5-words", "7-words", "row-0-tag-0",
-         "row-0-tag-0-4-words", "row-0-tag-0-5-words", "all-zero"],
+    ids=["5-words", "7-words", "row-0-tag-0", "row-0-tag-0-4-words", "row-0-tag-0-5-words",
+         "all-zero", "largest-array-value"],
 )
 def test_rows_at_word_layout_boundaries(values):
     _assert_rows_keyed_as_numpy_keys(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [7, np.array([1, 2**32, 2**32 - 1, 2**40, 0], dtype=np.uint64), 3],
+        [2**64, np.array([5, 2**33, 0, 2**64 - 1], dtype=np.uint64), 0],
+        [np.array([2**32 - 1, 2**32, 1, 2**64 - 1], dtype=np.uint64), 2**100, 6],
+        [5, np.array([2**32], dtype=np.int64), 1],
+    ],
+    ids=["2**32", "2**33", "2**32-first", "int64"],
+)
+def test_array_values_of_two_words_are_value_errors(values):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        keys(*values)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        derive_seed(*values)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (3, np.uint64), (2, np.uint32), (4, np.uint32)])
+def test_a_key_answers_only_the_request_philox_makes(n_words, dtype):
+    key = keys(5, np.arange(2), 0)[1]
+    numpy_key = np.random.SeedSequence((5, 1, 0))
+    assert np.array_equal(key.generate_state(2, np.uint64), numpy_key.generate_state(2, np.uint64))
+    with pytest.raises(ValueError):
+        key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        key.generate_state(2)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int32, np.int64, np.uint64])
