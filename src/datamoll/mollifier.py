@@ -8,8 +8,9 @@ Batch mollification picks one transform (or none) per image, draws the
 temperature from the Beta prior, and attaches the matching label-decay
 weight.  All per-image randomness derives from (seed, image index), so
 outcomes do not depend on processing order: a batch derives all its
-images' keys at once with :func:`streams.keys` and opens one generator per
-image, which draws the image's mode, then its temperature, then its noise.
+images' keys ``(seed, i, 0)`` at once with :func:`streams.row_keys` and
+opens one generator per image, which draws the image's mode, then its
+temperature, then its noise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .schedules import (
     gamma_noise,
     sample_temperature,
 )
-from .streams import keys, stream
+from .streams import row_keys, stream
 from .tensors import dct2d, ensure_image, ensure_image_or_stack, ensure_stack, idct2d
 
 
@@ -81,10 +82,6 @@ def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:
     return heat_blur(img, dissipation_time(blur_sigma(t, cfg)))
 
 
-# The tag of image i's stream, keyed by (seed, i, _TAG_DECISION).
-_TAG_DECISION = 0
-
-
 def mollify_batch(
     imgs: np.ndarray | Sequence[np.ndarray], cfg: ScheduleConfig, seed: int
 ) -> np.recarray:
@@ -96,8 +93,9 @@ def mollify_batch(
     the mode's uniform ``rng.random()``, then, unless the mode is none,
     ``t = sample_temperature(rng, cfg)``, then, for a noise row, the noise
     that ``noise_image(img, t, rng)`` draws, so that call replays the row.
-    The batch's keys come from one :func:`keys` pass; its noise rows are
-    mixed in one step and its blur rows blurred one by one.
+    ``seed`` must lie in ``[0, 2**64)``.  The batch's keys come from one
+    :func:`row_keys` pass; its noise rows are mixed in one step and its blur
+    rows blurred one by one.
     """
     stack = ensure_stack(imgs)
     n = stack.shape[0]
@@ -110,7 +108,7 @@ def mollify_batch(
     noisy: list[int] = []
     weights: list[tuple[float, float]] = []
     p_none, p_noise, _ = cfg.mode_probs
-    for idx, key in enumerate(keys(seed, np.arange(n), _TAG_DECISION)):
+    for idx, key in enumerate(row_keys(seed, n)):
         rng = stream(key)
         u = rng.random()
         if u < p_none:

@@ -6,19 +6,19 @@ stream does not depend on the order in which streams are created; per-image
 draws stay reproducible under any batch parallelisation.
 
 A key is ``(seed, *tags)``, each a non-negative integer (a Python or NumPy
-integer; a float is a TypeError, a negative value a ValueError).  It keys the
-``SeedSequence`` NumPy builds from the same tuple, word for word: the key's
-uint32 words are each value's little-endian 32-bit words, one zero word for 0.
+integer; a float, a string or an array is a TypeError, a negative value a
+ValueError).  ``stream(seed, *tags)`` opens
+``Generator(Philox(SeedSequence((seed, *tags))))`` and ``derive_seed(seed,
+*tags)`` returns word 0 of that ``SeedSequence``'s 64-bit state, an int.
 
-The hashing is an exact, vectorized port of ``SeedSequence``'s entropy mixing
-and of ``generate_state(2, np.uint64)``, the one request ``Philox`` makes
-(O'Neill's ``seed_seq`` scheme), run on a matrix with one row of key words per
-key.  :func:`keys` takes any value as an ``(N,)`` integer array of values
-below ``2**32``, one key word each, and derives all N keys in one pass; each
-:class:`Key` holds only its row's Philox key, so ``stream(key)`` opens the
-generator without hashing again.  ``stream(seed, *tags)`` and
-``derive_seed(seed, *tags)`` are the one-row case, and ``derive_seed`` also
-takes array values: a child seed is word 0 of its key's Philox key.
+A mollified batch needs one key per image, ``(seed, i, 0)``.
+:func:`row_keys` derives all of them in one pass, with an exact, vectorized
+port of ``SeedSequence``'s entropy mixing and of ``generate_state(2,
+np.uint64)``, the one request ``Philox`` makes (O'Neill's ``seed_seq``
+scheme).  A seed below ``2**64`` and a row below ``2**32`` make a key of at
+most four uint32 words, so each key fills ``SeedSequence``'s pool and nothing
+more.  Each :class:`Key` holds only its row's Philox key, so ``stream(key)``
+opens the generator without hashing again.
 
 Keys must differ in a nonzero word: NumPy's ``SeedSequence`` ignores trailing
 zero words in a key of up to four 32-bit words, so ``stream(5, 1, 0)`` is
@@ -29,7 +29,6 @@ which ``synth.grating_dataset(seed=s)`` draws from (no command uses both).
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -44,19 +43,20 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
-@lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of ``count`` successive hashes, as two read-only uint32
-    arrays: hash k xors its value with h_k and multiplies it by h_(k+1), where
+    """The constants of ``count`` successive hashes, as two uint32 arrays:
+    hash k xors its value with h_k and multiplies it by h_(k+1), where
     h_0 = init and h_(k+1) = h_k * mult."""
     h = [init]
     for _ in range(count):
         h.append(h[-1] * mult & _MASK32)
-    consts = np.array([h[:-1], h[1:]], dtype=np.uint32)
-    consts.setflags(write=False)
-    return consts[0], consts[1]
+    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
 
 
+# Mixing four key words into the pool takes 16 hash constants in order: four
+# for the words that fill the pool, then three for each pool word mixed into
+# the other three.
+_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
 # The hash constants of ``generate_state(2, np.uint64)``: its four uint32
 # words hash the four pool words in order.  ``generate_state`` is
 # prefix-stable, so word 0 of that state is ``generate_state(1, np.uint64)``.
@@ -75,76 +75,20 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _philox_keys(values: tuple) -> np.ndarray:
-    """``SeedSequence(row words).generate_state(2, np.uint64)`` of every key
-    row, an ``(N, 2)`` uint64 matrix."""
-    words = _key_words(values)
-    # Mixing a key of L words into the pool takes 4 * L hash constants in
-    # order: four for the words that fill the pool, three for each pool word
-    # mixed into the other three, then four for each word beyond the pool.
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * words.shape[1])
-    pool = _hash(words[:, :_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row words).generate_state(2, np.uint64)`` of every row
+    of an ``(N, 4)`` uint32 matrix, an ``(N, 2)`` uint64 matrix; the pool
+    hashes a zero word in place of a missing one, so a shorter key is its
+    words padded with zeros."""
+    pool = _hash(words, _POOL_XOR[:_POOL_SIZE], _POOL_MULT[:_POOL_SIZE])
     # Every pool word into the other three, so late words affect early ones.
     for src in range(_POOL_SIZE):
         dst = [i for i in range(_POOL_SIZE) if i != src]
         at = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * (src + 1))
-        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[at], mult[at]))
-    # Then each word beyond the pool into every pool word.
-    for src in range(_POOL_SIZE, words.shape[1]):
-        at = slice(_POOL_SIZE * src, _POOL_SIZE * (src + 1))
-        pool = _mix(pool, _hash(words[:, src, None], xor[at], mult[at]))
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], _POOL_XOR[at], _POOL_MULT[at]))
     state = _hash(pool, _STATE_XOR, _STATE_MULT)
     # generate_state pairs its uint32 words little-endian into uint64s.
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def _is_array(value) -> bool:
-    return isinstance(value, np.ndarray) and value.ndim > 0
-
-
-def _int_words(value) -> list[int]:
-    """An integer key value's little-endian uint32 words, one zero word for 0."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"stream key values must be non-negative, got {value}")
-    words = []
-    while value > _MASK32:
-        words.append(value & _MASK32)
-        value >>= 32
-    words.append(value)
-    return words
-
-
-def _array_words(value: np.ndarray) -> np.ndarray:
-    """An ``(N,)`` integer array of values in ``[0, 2**32)`` as one uint32 word each."""
-    if value.ndim != 1:
-        raise ValueError(f"stream key arrays must be one-dimensional, got shape {value.shape}")
-    if not np.issubdtype(value.dtype, np.integer):
-        raise TypeError(f"stream key arrays must hold integers, got dtype {value.dtype}")
-    low, high = int(value.min(initial=0)), int(value.max(initial=0))
-    if low < 0 or high > _MASK32:
-        raise ValueError(f"stream key array values must lie in [0, 2**32), got {low} to {high}")
-    return value.astype(np.uint32)
-
-
-def _key_words(values: tuple) -> np.ndarray:
-    """Each key row's uint32 words, zero-padded to at least four (the pool
-    hashes a zero word in place of a missing one), in an ``(N, W)`` matrix;
-    N is 1 unless some value is an ``(N,)`` array."""
-    lengths = {len(value) for value in values if _is_array(value)}
-    if len(lengths) > 1:
-        raise ValueError(f"stream key arrays must have one length, got {sorted(lengths)}")
-    n = lengths.pop() if lengths else 1
-    columns = []
-    for value in values:
-        if _is_array(value):
-            columns.append(_array_words(value))
-        else:
-            columns += _int_words(value)
-    words = np.zeros((n, max(_POOL_SIZE, len(columns))), dtype=np.uint32)
-    for i, column in enumerate(columns):
-        words[:, i] = column
-    return words
 
 
 class Key(ISeedSequence):
@@ -161,29 +105,42 @@ class Key(ISeedSequence):
         return self.philox_key.copy()
 
 
-def keys(seed, *tags) -> list[Key]:
-    """One :class:`Key` per row of ``(seed, *tags)``, derived in one pass: each
-    value is a non-negative integer, which keys every row, or an ``(N,)``
-    integer array of values below ``2**32``.  ``stream(keys(...)[i])`` is
-    ``stream`` of row i's values."""
-    return [Key(key) for key in _philox_keys((seed, *tags))]
+def row_keys(seed, count) -> list[Key]:
+    """The :class:`Key` of ``(seed, i, 0)`` for each ``i < count``, derived in
+    one pass; ``stream(row_keys(seed, count)[i])`` is ``stream(seed, i, 0)``.
+    ``seed`` must lie in ``[0, 2**64)`` and ``count`` in ``[0, 2**32]``."""
+    seed, count = operator.index(seed), operator.index(count)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"row key seeds must lie in [0, 2**64), got {seed}")
+    # Row numbers are one uint32 word each; checked before any allocation,
+    # since a larger count would wrap the row column and repeat keys.
+    if not 0 <= count <= 2**32:
+        raise ValueError(f"row key counts must lie in [0, 2**32], got {count}")
+    seed_words = [seed & _MASK32, seed >> 32] if seed > _MASK32 else [seed]
+    words = np.zeros((count, _POOL_SIZE), dtype=np.uint32)
+    words[:, : len(seed_words)] = seed_words
+    words[:, len(seed_words)] = np.arange(count, dtype=np.uint32)
+    return [Key(key) for key in _philox_keys(words)]
+
+
+def _seed_sequence(seed, tags: tuple) -> np.random.SeedSequence:
+    """NumPy's ``SeedSequence`` of ``(seed, *tags)``, each value checked."""
+    key = [operator.index(value) for value in (seed, *tags)]
+    if any(value < 0 for value in key):
+        raise ValueError(f"stream key values must be non-negative, got {tuple(key)}")
+    return np.random.SeedSequence(key)
 
 
 def stream(seed, *tags: int) -> np.random.Generator:
     """Return a fresh generator keyed by ``seed`` and optional integer tags,
     or by a :class:`Key` alone."""
     if not isinstance(seed, Key):
-        if any(_is_array(value) for value in (seed, *tags)):
-            raise TypeError("stream key values must be integers; keys() takes arrays")
-        (seed,) = keys(seed, *tags)
+        seed = _seed_sequence(seed, tags)
     elif tags:
         raise TypeError("a Key takes no tags")
     return np.random.Generator(np.random.Philox(seed))
 
 
-def derive_seed(seed, *tags) -> int | np.ndarray:
-    """Return a 64-bit child seed for (seed, *tags): an int, or one uint64 per
-    row when some value is an ``(N,)`` integer array of values below ``2**32``."""
-    values = (seed, *tags)
-    child = _philox_keys(values)[:, 0]
-    return child if any(_is_array(value) for value in values) else int(child[0])
+def derive_seed(seed, *tags: int) -> int:
+    """Return a 64-bit child seed for ``(seed, *tags)``."""
+    return int(_seed_sequence(seed, tags).generate_state(1, np.uint64)[0])

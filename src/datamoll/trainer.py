@@ -174,20 +174,15 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
         order = stream(cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
         lr = cosine_lr(epoch, cfg)
         losses = []
-        batches = range(0, n, cfg.batch_size)
-        if cfg.mollify:
-            # The epoch's (batch_no, rep) seeds in one pass, one row per batch.
-            reps = cfg.samples_per_image
-            batch_nos, rep_nos = np.divmod(np.arange(len(batches) * reps), reps)
-            seeds = derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_nos, rep_nos)
-            seeds = seeds.reshape(len(batches), reps)
-        for batch_no, start in enumerate(batches):
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             if cfg.mollify:
                 images = dataset.images[idx]
-                samples = np.concatenate(
-                    [mollify_batch(images, cfg.schedule, k) for k in seeds[batch_no]]
+                seeds = (
+                    derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
+                    for rep in range(cfg.samples_per_image)
                 )
+                samples = np.concatenate([mollify_batch(images, cfg.schedule, k) for k in seeds])
                 x = samples["image"].reshape(len(samples), input_dim)
                 gammas = samples["gamma"]
                 labels = np.tile(dataset.labels[idx], cfg.samples_per_image)
