@@ -67,6 +67,33 @@ def test_a_trailing_zero_word_names_the_same_stream():
     assert derive_seed(5, 2) != derive_seed(5, 1)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        # A key of five words or more mixes each word beyond the pool into
+        # every pool word, so there a trailing zero word changes the key.
+        (2**64 + 9, 3, 1),
+        (2**100, 2, 1),
+        (2**64, 0, 0),
+        # The trainer's per-batch key (seed, tag, epoch, batch, rep) at its
+        # first batch: five words, the last three zero.
+        (2**63 + 5, 1, 0, 0, 0),
+    ],
+    ids=["5-words", "7-words", "row-0-tag-0-5-words", "trainer-first-batch"],
+)
+def test_keys_beyond_the_pool(key):
+    _assert_keyed_as_numpy_keys(key)
+    assert derive_seed(*key) != derive_seed(*key[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int32, np.int64, np.uint64])
+def test_scalar_values_of_any_integer_dtype_key_as_python_integers(dtype):
+    key = (dtype(9), dtype(3), dtype(2))
+    assert derive_seed(*key) == derive_seed(9, 3, 2)
+    assert type(derive_seed(*key)) is int
+    assert np.array_equal(stream(*key).random(4), stream(9, 3, 2).random(4))
+
+
 # Row-key seeds: the word boundaries of VALUES below 2**64 (one zero word, one
 # word, two words), and any other u64.
 ROW_SEEDS = st.sampled_from(VALUES[:5]) | st.integers(0, 2**64 - 1)
@@ -80,6 +107,25 @@ def test_each_row_key_is_numpys_key_of_seed_row_0(seed, count):
     for i, key in enumerate(keys):
         assert np.array_equal(key.philox_key, np.random.SeedSequence((seed, i, 0)).generate_state(2, np.uint64))
         assert np.array_equal(stream(key).random(8), stream(seed, i, 0).random(8))
+
+
+@pytest.mark.parametrize(
+    "seed, count",
+    [(5, 3), (2**32 - 1, 3), (2**32, 3), (2**64 - 1, 3), (0, 1)],
+    ids=["row-0-tag-0", "one-word-seed", "two-word-seed", "row-0-tag-0-4-words", "all-zero"],
+)
+def test_rows_at_word_layout_boundaries(seed, count):
+    keys = row_keys(seed, count)
+    assert len(keys) == count
+    for i, key in enumerate(keys):
+        numpy_key = np.random.SeedSequence((seed, i, 0)).generate_state(2, np.uint64)
+        assert np.array_equal(key.philox_key, numpy_key)
+        # A child seed is word 0 of its key's Philox key.
+        assert derive_seed(seed, i, 0) == int(key.philox_key[0])
+
+
+def test_no_rows_give_no_keys():
+    assert row_keys(3, 0) == []
 
 
 @pytest.mark.parametrize(
