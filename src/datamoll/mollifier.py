@@ -7,10 +7,9 @@ the DC coefficient is untouched, so blurring never shifts channel means.
 Batch mollification picks one transform (or none) per image, draws the
 temperature from the Beta prior, and attaches the matching label-decay
 weight.  All per-image randomness derives from (seed, image index), so
-outcomes do not depend on processing order: a batch derives all its
-images' keys ``(seed, i, 0)`` at once with :func:`streams.row_keys` and
-opens one generator per image, which draws the image's mode, then its
-temperature, then its noise.
+outcomes do not depend on processing order: image ``i`` draws its mode,
+then its temperature, then its noise from one generator keyed by the Philox
+key ``[seed, i]`` (:func:`streams.row_keys`).
 """
 
 from __future__ import annotations
@@ -89,13 +88,13 @@ def mollify_batch(
 
     Returns a record array with one row per image and the fields ``image``
     (H, W, C), ``gamma``, ``mode`` (``"none"``, ``"noise"`` or ``"blur"``)
-    and ``t``.  Image ``i`` draws from one stream, ``rng = stream(seed, i, 0)``:
-    the mode's uniform ``rng.random()``, then, unless the mode is none,
-    ``t = sample_temperature(rng, cfg)``, then, for a noise row, the noise
-    that ``noise_image(img, t, rng)`` draws, so that call replays the row.
-    ``seed`` must lie in ``[0, 2**64)``.  The batch's keys come from one
-    :func:`row_keys` pass; its noise rows are mixed in one step and its blur
-    rows blurred one by one.
+    and ``t``.  Image ``i`` draws from one stream, ``rng =
+    Generator(Philox(key=np.array([seed, i], dtype=np.uint64)))``: the mode's
+    uniform ``rng.random()``, then, unless the mode is none, ``t =
+    sample_temperature(rng, cfg)``, then, for a noise row, the noise that
+    ``noise_image(img, t, rng)`` draws, so that call replays the row.
+    ``seed`` must lie in ``[0, 2**64)``.  The batch's noise rows are mixed in
+    one step and its blur rows blurred one by one.
     """
     stack = ensure_stack(imgs)
     n = stack.shape[0]

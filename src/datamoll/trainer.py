@@ -174,15 +174,20 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
         order = stream(cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
         lr = cosine_lr(epoch, cfg)
         losses = []
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+        starts = range(0, n, cfg.batch_size)
+        if cfg.mollify:
+            # Every batch's mollifier seeds, before the batch loop: a call
+            # between two mollify_batch calls runs cold, several times slower.
+            reps = range(cfg.samples_per_image)
+            seeds = [
+                [derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep) for rep in reps]
+                for batch_no in range(len(starts))
+            ]
+        for batch_no, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
             if cfg.mollify:
                 images = dataset.images[idx]
-                seeds = (
-                    derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
-                    for rep in range(cfg.samples_per_image)
-                )
-                samples = np.concatenate([mollify_batch(images, cfg.schedule, k) for k in seeds])
+                samples = np.concatenate([mollify_batch(images, cfg.schedule, k) for k in seeds[batch_no]])
                 x = samples["image"].reshape(len(samples), input_dim)
                 gammas = samples["gamma"]
                 labels = np.tile(dataset.labels[idx], cfg.samples_per_image)

@@ -227,7 +227,8 @@ class TestMollifyBatch:
                 assert ex.gamma == gamma_blur(ex.t, cfg.k_blur)
 
     def test_noise_seed_reproduces_image(self, cfg):
-        # Row i's stream (seed, i, 0) draws u, then t, then the noise.
+        # Row i's stream, NumPy's Philox keyed by [seed, i] as two uint64
+        # words, draws u, then t, then the noise.
         rng = np.random.default_rng(14)
         imgs = rng.standard_normal((64, 6, 6, 2))
         p_none, p_noise, _ = cfg.mode_probs
@@ -237,7 +238,8 @@ class TestMollifyBatch:
             noisy = np.flatnonzero(out.mode == "noise")
             assert noisy.size
             for idx in noisy:
-                row = stream(seed, int(idx), 0)
+                key = np.array([seed, idx], dtype=np.uint64)
+                row = np.random.Generator(np.random.Philox(key=key))
                 assert p_none <= row.random() < p_none + p_noise
                 t = sample_temperature(row, cfg)
                 assert t == out.t[idx]
@@ -252,25 +254,23 @@ class TestMollifyBatch:
         prefix = mollify_batch(imgs[:4], cfg, seed=3)
         assert prefix.tobytes() == full[:4].tobytes()
 
-    # SHA-256 of the records, from the code whose rows draw their noise from
-    # their own stream; the blur-only digests equal those of the code before
-    # it, whose records also held a noise_seed field, without that field.
-    # The 64-bit seed keys every stream with multi-word keys.
+    # SHA-256 of the records, from the code that keys each row's stream by
+    # the Philox key [seed, row].  The seed is above 2**63.
     @pytest.mark.parametrize(
         "mode_probs, shape, digest",
         [
             ((1 / 3, 1 / 3, 1 / 3), (40, 16, 16, 1),
-             "616d0731db6854cf568072ff651a2b7e425e80afa347947c4e0d80c5305feb25"),
+             "0b91b68626643b3fc4ffd880ac1b9d57e34af0c9520420d6a01c1eb90adbb5a9"),
             ((1 / 3, 1 / 3, 1 / 3), (24, 12, 10, 3),
-             "b41b385c47ec38cacd08dfd3b9f4f8f9c7552a5457d07371bac1ab04c47e1796"),
+             "36f1440799f269fedfd5fa785eff72a8fddfa0934bb70bbe8d8fc53e4acb5dd0"),
             ((0.0, 1.0, 0.0), (40, 16, 16, 1),
-             "dd034c79a85338e54a8ee8758a1e0127ee6074912b80de0057661266e1f52668"),
+             "c17765ccde79fb1c81087087252c8c9d7396f7476b5b1f2376f04538c536d7a3"),
             ((0.0, 1.0, 0.0), (24, 12, 10, 3),
-             "4f66296a73d1167c9a7562379860d87e284449527827d6d8082ef649639152d4"),
+             "a79805c4b85a84301c1ea3fdbfe283fa599eb5d9fc42fa1ee15d313efaa32fcb"),
             ((0.0, 0.0, 1.0), (40, 16, 16, 1),
-             "61c8eeeca3d4abc3358f8e025fc2854b0f2e7094a6302016df4c3b73ce3d6c33"),
+             "c9e022ef0ff0b8c6cd3c284a2a633bcb290db8a1fe510e781e535bcbd9029450"),
             ((0.0, 0.0, 1.0), (24, 12, 10, 3),
-             "5eb3ba3269e3d5efa06a529cf7ebb2136eb3b2526fbc599c8bc8c0ca0e8e011a"),
+             "d1d0d5c7343b2b9f6522dbdf275aa1c9d3110feb47ba65383d95a500fd71a3bc"),
         ],
         ids=["default-gray", "default-rgb", "noise-gray", "noise-rgb", "blur-gray", "blur-rgb"],
     )
@@ -280,16 +280,17 @@ class TestMollifyBatch:
         out = mollify_batch(imgs, cfg, seed=2**63 + 12345)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
-    # SHA-256 of the records, from the code whose rows draw their noise from
-    # their own stream, at seeds where the key's word layout changes: the
-    # key (seed, row, 0) is 3 or 4 words long.
+    # SHA-256 of the records, from the code that keys each row's stream by
+    # the Philox key [seed, row], at the seeds where a SeedSequence key would
+    # change its uint32 word count; the Philox key is two uint64 words at
+    # every seed.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "ba0cb5d4cffcabc6c08ff842e57f496e85a97d2f77a2747692d06f92ff1db980"),
-            (2**32 - 1, "f2fe12f6a6d86384f6cc7acc986c909c8e73dd293bb26efbef96d3b2817b019d"),
-            (2**32, "ccf9951a624d0e569be73e40104263f793bf488098b311e95f51360fb42bae2c"),
-            (2**64 - 1, "69d44f0b5591d8cff00a2bb3e08f4038127f1b84eddd5082669b394c3c40d228"),
+            (0, "fc73fafaaa8368a8fb900482706cecb0f2c35cbc5f61fc34fc888cf38ac60542"),
+            (2**32 - 1, "6b1d093cd584c1d68d39d2a3ec1a2a7d1ca6489d148a985d79728c6a17a0c7ab"),
+            (2**32, "31d0b7ad4e2605420e05366792ad7f39dede4f1a02a488ced223238e8d113536"),
+            (2**64 - 1, "d31510f2ec72f6c8d5cfee634fd26e4de145aa3160fa800c06dac0031e528b88"),
         ],
         ids=["0", "2**32-1", "2**32", "2**64-1"],
     )
@@ -329,10 +330,15 @@ class TestMollifyBatch:
         with pytest.raises(DataError):
             mollify_batch(imgs, cfg, seed=0)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rejects_a_non_finite_pixel_whatever_mode_it_draws(self, cfg, seed):
+    @pytest.mark.parametrize(
+        "seed, mode",
+        [(8, "none"), (10, "none"), (0, "noise"), (1, "noise"), (2, "blur"), (3, "blur")],
+    )
+    def test_rejects_a_non_finite_pixel_whatever_mode_it_draws(self, cfg, seed, mode):
         imgs = np.zeros((8, 4, 4, 1))
-        imgs[3, 1, 2, 0] = np.nan  # seeds 2 and 3 draw mode none for image 3
+        # Image 3 draws this mode at this seed, so each mode meets the NaN.
+        assert mollify_batch(imgs, cfg, seed).mode[3] == mode
+        imgs[3, 1, 2, 0] = np.nan
         with pytest.raises(DataError):
             mollify_batch(imgs, cfg, seed)
 
