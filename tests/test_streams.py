@@ -115,7 +115,11 @@ def test_each_row_key_is_numpys_philox_key_of_seed_and_row(seed, count):
         assert np.array_equal(stream(key).random(8), _numpy_row_stream(seed, i).random(8))
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1], ids=["0", "2**32-1", "2**32", "2**64-1"])
+# 2**63 is the first seed whose word 0 has its top bit set: past int64, and
+# where a plain list key would pass through float64.
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1], ids=["0", "2**32-1", "2**32", "2**63", "2**64-1"]
+)
 def test_rows_at_word_layout_boundaries(seed):
     keys = row_keys(seed, 3)
     assert len(keys) == 3
