@@ -20,8 +20,8 @@ import argparse
 import copy
 import hashlib
 import json
+import re
 import sys
-import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -39,9 +39,7 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import (
-    check_value, read_csv_rows, read_json_object, read_lines, write_csv, write_json, write_text
-)
+from .ioutil import check_value, read_csv_rows, read_json_object, write_csv, write_json, write_text
 from .metrics import ECE_BINS, evaluate, format_report_table, write_records_csv
 from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
@@ -265,6 +263,8 @@ def start_run(ns: argparse.Namespace) -> Run:
         train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], **cfg["train"])
     if cfg.get("bins", 1) < 1:
         raise DataError(f"bins must be >= 1, got {cfg['bins']}")
+    if cfg.get("bins", 1) > 2**53:  # the largest num_bins metrics.ece takes
+        raise DataError(f"bins must be <= 2**53, got {cfg['bins']}")
     if "t_steps" in cfg:
         if cfg["t_steps"] < 2:
             raise DataError(f"t_steps must be >= 2, got {cfg['t_steps']}")
@@ -317,26 +317,34 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
     return labels
 
 
+# A .csv image cell: 0..255 in ASCII digits, maybe zero-padded, blanks around it allowed.
+_PIXEL = re.compile(r"\s*0*(1?[0-9]{1,2}|2[0-4][0-9]|25[0-5])\s*", re.ASCII)
+
+
 def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     """One 8-bit image as (H, W, C) int64: the bytes of a .raw image of ``shape``,
-    or a .csv grid with ``shape[-1]`` channels per pixel."""
-    lines = read_lines(path) if path.suffix == ".csv" else None
-    try:
-        if lines is not None:
-            with warnings.catch_warnings():
-                # An empty grid is reported below, as a file without pixels.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                grid = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
-            if grid.size == 0:
-                raise ValueError("no pixels")
-            image = grid.reshape(grid.shape[0], -1, shape[-1])
-        else:
-            image = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(shape)
-    except ValueError as exc:
-        raise DataError(f"malformed image file {path}: {exc}") from None
-    if np.any(image < 0) or np.any(image > 255):
-        raise DataError(f"malformed image file {path}: pixels must lie in [0, 255]")
-    return image.astype(np.int64)
+    or a .csv grid with ``shape[-1]`` channels per pixel, blank rows skipped."""
+    if path.suffix != ".csv":
+        try:
+            return np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(shape).astype(np.int64)
+        except ValueError as exc:
+            raise DataError(f"malformed image file {path}: {exc}") from None
+    rows = [(line, row) for line, row in read_csv_rows(path) if row]
+    if not rows:
+        raise DataError(f"malformed image file {path}: no pixels")
+    width = len(rows[0][1])
+    if width % shape[-1]:
+        raise DataError(f"malformed image file {path}: {width} values a row, {shape[-1]} channels")
+    grid = []
+    for line, row in rows:
+        where = f"{path} row {line}"
+        if len(row) != width:
+            raise DataError(f"{where}: {len(row)} values, where the first row has {width}")
+        bad = [cell for cell in row if not _PIXEL.fullmatch(cell)]
+        if bad:
+            raise DataError(f"{where}: pixel {bad[0]!r} is not an integer in [0, 255]")
+        grid.append([int(cell) for cell in row])
+    return np.array(grid, dtype=np.int64).reshape(len(grid), -1, shape[-1])
 
 
 def _load_8bit_dir(src: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -82,30 +82,22 @@ def avg_nll(preds: np.ndarray) -> float:
 
 
 def ece(preds: np.ndarray, num_bins: int = ECE_BINS) -> float:
-    """Expected calibration error over equal-width confidence bins.
+    """Expected calibration error, ``(1/n) sum_b |sum_{i in b} (hit_i - conf_i)|``
+    over the bins the records fill.
 
-    Bin b covers ((b-1)/num_bins, b/num_bins]; a confidence of exactly 0
-    falls into the first bin.  Empty bins contribute nothing.
+    Bin b covers ((b-1)/num_bins, b/num_bins], each edge the float64 quotient of
+    exact integers (num_bins <= 2**53); a confidence of 0 is in bin 1.
     """
     _require_records(preds)
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    edges = np.arange(1, num_bins + 1) / num_bins
+    if not 1 <= num_bins <= 2**53:
+        raise ValueError(f"num_bins must be in [1, 2**53], got {num_bins}")
     conf = preds["probs"].max(axis=1)
-    correct = _hits(preds).astype(np.float64)
-    bins = np.searchsorted(edges, conf, side="left")
-    bins = np.minimum(bins, num_bins - 1)
-    total = 0.0
-    n = len(preds)
-    for b in range(num_bins):
-        members = bins == b
-        count = int(members.sum())
-        if count == 0:
-            continue
-        acc = float(correct[members].mean())
-        avg_conf = float(conf[members].mean())
-        total += (count / n) * abs(acc - avg_conf)
-    return total
+    # The floor of the rounded conf * num_bins is the 0-based bin or one off it.
+    bins = np.floor(conf * num_bins)
+    bins -= conf <= bins / num_bins
+    bins += conf > (bins + 1) / num_bins
+    _, group = np.unique(np.maximum(bins, 0), return_inverse=True)
+    return float(np.abs(np.bincount(group, weights=_hits(preds) - conf)).sum()) / len(preds)
 
 
 def _report(preds: np.ndarray, num_bins: int) -> dict:

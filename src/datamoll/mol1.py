@@ -110,7 +110,7 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
             f"{path} has {len(raw)} bytes, expected {expected} for N={n} H={h} W={w} C={c}"
         )
     if n == 0:  # Mol1Dataset's check, before a reshape NumPy refuses at a huge H*W*C
-        raise DataError("dataset is empty")
+        raise DataError(f"{path}: dataset is empty")
     offset = 4 + _HEADER.size
     images = np.frombuffer(raw, dtype="<f4", count=n * h * w * c, offset=offset)
     images = images.astype(np.float64).reshape(n, h, w, c)
@@ -125,10 +125,8 @@ def load_mol1(path: str | Path) -> Mol1Dataset:
         check_value(f"{where} {key!r}", manifest.get(key), "a list of finite numbers")
         for key in ("mean", "std")
     )
-    return Mol1Dataset(
-        images=images,
-        labels=labels,
-        num_classes=int(num_classes),
-        stats=ChannelStats(mean, std),
-        provenance=str(manifest.get("provenance", "")),
-    )
+    try:
+        stats = ChannelStats(mean, std)
+        return Mol1Dataset(images, labels, int(num_classes), stats, str(manifest.get("provenance", "")))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ from datamoll.analysis import (
     info_curve,
     spectral_delta,
 )
-from datamoll.labels import dirichlet_log_density, soft_labels
+from datamoll.labels import dirichlet_log_density
 from datamoll.likelihood import log_normalizer_Z, mc_log_marginal
 from datamoll.metrics import ece, predictions
 from datamoll.mol1 import save_mol1
@@ -29,6 +29,7 @@ from datamoll.study import aggregate, run_study
 from datamoll.synth import fractal_textures, grating_dataset, standardized_dataset
 from datamoll.tensors import compute_channel_stats, dct2d, idct2d
 from datamoll.trainer import MlpParams, loss_and_grad
+from tests.helpers import label as _label
 from tests.oracles import (
     brute_force_ece,
     exp_decay_fit,
@@ -44,11 +45,6 @@ from tests.oracles import (
 
 def _report(name: str, detail: str) -> None:
     print(f"[PASS] {name}: {detail}")
-
-
-def _label(cls: int, num_classes: int, gamma: float = 0.0, smoothed: bool = True) -> np.ndarray:
-    """One soft label row; gamma 0 gives the one-hot label."""
-    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
 
 
 def test_criterion_01_schedule_exactness():

@@ -209,6 +209,21 @@ class TestIngest:
             outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_a_csv_image_is_read_as_labels_csv_is(self, tmp_path):
+        # One CSV grammar: blank rows are skipped and a quoted cell is read; a
+        # pixel may be zero-padded and have blanks around it.
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "b.csv").write_text("1,2\n3,4\n")
+        (src / "labels.csv").write_text("a.csv,0\nb.csv,1\n")
+        out = tmp_path / "x.mol1"
+        outputs = []
+        for grid in ("0,255\n7,9\n", '\n"0", 255\r\n\n007,"9"\n\n'):
+            (src / "a.csv").write_text(grid, newline="")
+            assert main(["ingest", str(src), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "name, content, message",
         [
@@ -238,7 +253,13 @@ class TestIngest:
         [
             ("a.csv,0\nb.csv,0\na.csv,1\n", "0,0\n0,0\n", "labels.csv row 3: a.csv is listed twice"),
             ("a.csv,-1\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label -1 is negative"),
-            ("a.csv,0\nb.csv,1\n", "0,x\n0,0\n", "a.csv"),
+            ("a.csv,0\nb.csv,1\n", "0,x\n0,0\n", "a.csv row 1"),
+            # A blank row is skipped, and a row is numbered by its file line.
+            ("a.csv,0\nb.csv,1\n", "0,0\n\n0,x\n", "a.csv row 3"),
+            ("a.csv,0\nb.csv,1\n", "# c\n0,0\n0,0\n", "a.csv row 1"),
+            ("a.csv,0\nb.csv,1\n", "0,0\n0,0,0\n", "a.csv row 2: 3 values"),
+            ("a.csv,0\nb.csv,1\n", "0,0\n0,256\n", "a.csv row 2: pixel '256'"),
+            ("a.csv,0\nb.csv,1\n", "0,1_0\n0,0\n", "a.csv row 1: pixel '1_0'"),
             # The class count, label + 1, must fit MOL1's u32 header field.
             ("a.csv,4294967295\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label 4294967295"),
             (
@@ -247,7 +268,8 @@ class TestIngest:
             ),
         ],
         ids=[
-            "duplicate-label", "negative-label", "non-integer-pixel", "label-past-u32",
+            "duplicate-label", "negative-label", "non-integer-pixel", "blank-line", "comment-line",
+            "ragged-row", "pixel-past-255", "underscore-in-pixel", "label-past-u32",
             "label-past-int64",
         ],
     )
@@ -1013,6 +1035,22 @@ class TestBadFileFields:
             args += ["--config", str(config)]
         assert main(args) == 3
         assert capsys.readouterr().err == "error: bins must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bins_past_2_53_rejected_before_the_run_starts(self, files, tmp_path, capsys, source):
+        data, params = files
+        out = tmp_path / "e"
+        args = ["eval", str(params), "--dataset", str(data), "--out", str(out)]
+        if source == "flag":
+            args += ["--bins", str(2**53 + 1)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"bins": 10**400}))
+            args += ["--config", str(config)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bins must be <= 2**53, got ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["mean", "std"])

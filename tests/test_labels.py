@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from datamoll.labels import dirichlet_log_density, soft_labels
-
-
-def label(cls, num_classes, gamma=0.0, smoothed=True):
-    """One soft label row; gamma 0 gives the one-hot label."""
-    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
+from tests.helpers import label
 
 
 class TestOneHot:

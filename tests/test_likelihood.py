@@ -6,19 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from datamoll.labels import soft_labels
 from datamoll.likelihood import log_normalizer_Z, log_normalizer_grad, mc_log_marginal
 from datamoll.trainer import MlpParams, loss_and_grad
+from tests.helpers import label
 from tests.oracles import normalizer_quadrature
 
 
 def logp_of(probs) -> np.ndarray:
     return np.log(np.asarray(probs, dtype=np.float64))
-
-
-def label(cls, num_classes, gamma=0.0, smoothed=True):
-    """One soft label row; gamma 0 gives the one-hot label."""
-    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
 
 
 def soft_cross_entropy(logp, y):

@@ -123,6 +123,34 @@ class TestEce:
             ece(repeated([1.0, 0.0], 0), 0)
 
 
+class TestEceBinning:
+    @pytest.mark.parametrize("bins", [1, 2, 3, 7, 10, 15, 100])
+    def test_confidences_on_and_beside_the_edges_match_brute_force(self, bins):
+        # Confidence k/bins, and the floats either side of it, for every edge k;
+        # the other bins + 1 classes share the rest, each below the confidence.
+        edges = np.arange(1, bins + 1) / bins
+        conf = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0)])
+        rest = (1.0 - conf) / (bins + 1)
+        probs = np.column_stack([conf, *[rest] * (bins + 1)])
+        recs = predictions(probs, np.arange(len(conf)) % 2)
+        assert ece(recs, bins) == approx(brute_force_ece(recs, bins), abs=1e-15)
+
+    def test_a_trillion_bins_put_each_distinct_confidence_in_its_own_bin(self):
+        recs = random_records(np.random.default_rng(9), 200)
+        conf = recs["probs"].max(axis=1)
+        assert np.diff(np.sort(conf)).min() > 1e-12
+        hits = recs["probs"].argmax(axis=1) == recs["true_class"]
+        assert ece(recs, 10**12) == approx(np.abs(hits - conf).mean(), abs=1e-15)
+
+    @pytest.mark.parametrize("bins", [0, -1, 2**53 + 1])
+    def test_bins_outside_1_to_2_53_are_value_errors(self, bins):
+        with pytest.raises(ValueError, match=r"num_bins must be in \[1, 2\*\*53\]"):
+            ece(repeated([1.0, 0.0], 0), bins)
+
+    def test_2_53_bins_is_in_range(self):
+        assert ece(repeated([0.75, 0.25], 0, 4), 2**53) == approx(0.25, abs=1e-15)
+
+
 class TestMeanDecomposition:
     def test_concatenation_weighted_average(self):
         rng = np.random.default_rng(8)

@@ -127,6 +127,48 @@ class TestValidation:
         save_mol1(ds, tmp_path / "max.mol1")
         assert load_mol1(tmp_path / "max.mol1").images[0, 0, 0, 0] == np.finfo(np.float32).max
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({24: struct.pack("<f", np.nan)}, "images contain non-finite values"),
+            ({32: struct.pack("<I", 2)}, "labels must lie in [0, num_classes)"),
+            ({20: struct.pack("<I", 1)}, "num_classes must be at least 2"),
+            (
+                {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
+                "channel statistics do not match the image channel count",
+            ),
+            ({"std": [0.0]}, "channel std must be strictly positive"),
+            ({"mean": [0.0, 0.0]}, "mean/std must be matching 1-D vectors, got (2,) and (1,)"),
+            ({4: struct.pack("<5I", 0, 1, 1, 1, 2), 24: None}, "dataset is empty"),
+        ],
+        ids=[
+            "nan-pixel", "label-out-of-range", "one-class", "channel-count", "zero-std",
+            "mean-std-shapes", "empty",
+        ],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, edit, message):
+        # A valid container of two 1x1x1 images and two classes, then one edit:
+        # bytes written at an offset (None cuts the file there), or manifest fields.
+        path = tmp_path / "d.mol1"
+        save_mol1(
+            Mol1Dataset(np.zeros((2, 1, 1, 1)), np.array([0, 1]), 2, ChannelStats([0.0], [1.0])),
+            path,
+        )
+        raw = bytearray(path.read_bytes())
+        manifest = json.loads(manifest_path(path).read_text())
+        for key, value in edit.items():
+            if key in manifest:
+                manifest[key] = value
+            elif value is None:
+                del raw[key:]
+            else:
+                raw[key : key + len(value)] = value
+        path.write_bytes(bytes(raw))
+        manifest_path(path).write_text(json.dumps(manifest))
+        with pytest.raises(DataError) as excinfo:
+            load_mol1(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
 
 
 def _loads_or_data_error(path):

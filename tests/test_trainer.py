@@ -32,6 +32,7 @@ from datamoll.trainer import (
     save_params,
     train,
 )
+from tests.helpers import label
 from tests.oracles import finite_difference_grads, max_rel_gradient_error
 from tests.strategies import JSON_VALUES
 
@@ -59,11 +60,6 @@ def tiny_params(seed=7, scale=0.7):
         w2=rng.standard_normal((2, 2)) * scale,
         b2=rng.standard_normal(2) * 0.3,
     )
-
-
-def label(cls, num_classes, gamma=0.0, smoothed=True):
-    """One soft label row; gamma 0 gives the one-hot label."""
-    return soft_labels(np.array([cls]), np.array([gamma]), num_classes, smoothed)[0]
 
 
 def log_probs(params, x):
