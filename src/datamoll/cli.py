@@ -20,7 +20,6 @@ import argparse
 import copy
 import hashlib
 import json
-import re
 import sys
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
@@ -39,9 +38,11 @@ from .analysis import (
     spectral_delta,
 )
 from .errors import DataError, TrainingDivergedError
-from .ioutil import check_value, read_csv_rows, read_json_object, write_csv, write_json, write_text
-from .metrics import ECE_BINS, evaluate, format_report_table, write_records_csv
-from .mol1 import Mol1Dataset, load_mol1, manifest_path, save_mol1
+from .ioutil import (
+    check_value, read_csv_rows, read_int, read_json_object, write_csv, write_json, write_text
+)
+from .metrics import ECE_BINS, MAX_BINS, evaluate, format_report_table, write_records_csv
+from .mol1 import MAX_CLASSES, Mol1Dataset, load_mol1, manifest_path, save_mol1
 from .mollifier import mollify_batch
 from .schedules import (
     ScheduleConfig,
@@ -99,6 +100,7 @@ _KIND_AT = {
     "seed": "an integer in [0, 2**64)",
     "dataset": "a string",
     "schedule.sigma_max": "a finite number",
+    "schedule.mode_probs": "a list of finite numbers",
 }
 _KIND_OF = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -187,10 +189,6 @@ def _check_config(value, default, path: str):
                 raise DataError(f"unknown config key {sub!r}")
             out[key] = _check_config(item, default[key], sub)
         return out
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise DataError(f"config key {path!r} must be a list")
-        return [_check_config(item, default[0], f"{path}[{i}]") for i, item in enumerate(value)]
     if value is None and default is None:
         return None
     kind = _KIND_AT.get(path) or _KIND_OF[type(default)]
@@ -263,7 +261,7 @@ def start_run(ns: argparse.Namespace) -> Run:
         train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], **cfg["train"])
     if cfg.get("bins", 1) < 1:
         raise DataError(f"bins must be >= 1, got {cfg['bins']}")
-    if cfg.get("bins", 1) > 2**53:  # the largest num_bins metrics.ece takes
+    if cfg.get("bins", 1) > MAX_BINS:
         raise DataError(f"bins must be <= 2**53, got {cfg['bins']}")
     if "t_steps" in cfg:
         if cfg["t_steps"] < 2:
@@ -301,24 +299,14 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
         if not row or row[0].strip().lower() == "filename":
             continue
         where = f"{labels_file} row {line}"
-        if len(row) < 2:
+        if len(row) != 2:
             raise DataError(f"{where}: malformed row {row!r}")
         name = row[0].strip()
         if name in labels:
             raise DataError(f"{where}: {name} is listed twice")
-        try:
-            labels[name] = int(row[1])
-        except ValueError:
-            raise DataError(f"{where}: bad label {row[1]!r}") from None
-        if labels[name] < 0:
-            raise DataError(f"{where}: label {labels[name]} is negative")
-        if labels[name] > 2**32 - 2:  # the class count, label + 1, is a MOL1 u32
-            raise DataError(f"{where}: label {labels[name]} is above {2**32 - 2}")
+        # The class count, the largest label + 1, must fit the MOL1 header.
+        labels[name] = read_int(f"{where}: label", row[1], MAX_CLASSES - 1)
     return labels
-
-
-# A .csv image cell: 0..255 in ASCII digits, maybe zero-padded, blanks around it allowed.
-_PIXEL = re.compile(r"\s*0*(1?[0-9]{1,2}|2[0-4][0-9]|25[0-5])\s*", re.ASCII)
 
 
 def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
@@ -340,10 +328,7 @@ def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
         where = f"{path} row {line}"
         if len(row) != width:
             raise DataError(f"{where}: {len(row)} values, where the first row has {width}")
-        bad = [cell for cell in row if not _PIXEL.fullmatch(cell)]
-        if bad:
-            raise DataError(f"{where}: pixel {bad[0]!r} is not an integer in [0, 255]")
-        grid.append([int(cell) for cell in row])
+        grid.append([read_int(f"{where}: pixel", cell, 255) for cell in row])
     return np.array(grid, dtype=np.int64).reshape(len(grid), -1, shape[-1])
 
 

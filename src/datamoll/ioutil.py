@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import os
-import re
+import string
 import sys
 from pathlib import Path
 
@@ -77,13 +77,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
-    """The lines of the UTF-8 text, less a leading BOM, in the file ``path`` or in ``raw``
-    read from it, each with its end, as a file opened with ``newline=""`` gives them."""
+def read_text(path: str | Path, raw: bytes | None = None) -> str:
+    """The UTF-8 text, less a leading BOM, in the file ``path`` or in ``raw`` read from it."""
     raw = Path(path).read_bytes() if raw is None else raw
     try:
         # The BOM goes after decoding, so an error's byte offset counts it, as the file does.
-        return re.findall(r".*?(?:\r\n?|\n)|.+", raw.decode("utf-8").removeprefix("\ufeff"))
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         row = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} row {row}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
@@ -92,7 +91,7 @@ def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
 def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     """The rows of the CSV table in ``path``, each with the number of its last line
     in the file (a quoted field may span lines); a malformed row is a DataError naming it."""
-    reader = csv.reader(read_lines(path))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         return [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
@@ -102,7 +101,7 @@ def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
 def read_json_object(path: str | Path, raw: bytes | None = None) -> dict:
     """The JSON object in the file ``path``, or in ``raw`` read from it; other
     content, or an object at any depth that repeats a key, is a DataError naming ``path``."""
-    text = "".join(read_lines(path, raw))
+    text = read_text(path, raw)
     try:
         value = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
@@ -112,6 +111,17 @@ def read_json_object(path: str | Path, raw: bytes | None = None) -> dict:
     if not isinstance(value, dict):
         raise DataError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value
+
+
+def read_int(what: str, cell: str, high: int) -> int:
+    """The integer in ``cell``, ASCII digits (zero padding and ASCII blanks around them allowed)
+    in [0, ``high``]; else a DataError ``<what> '<cell>' is not an integer in [0, <high>]``."""
+    text = cell.strip(string.whitespace)
+    digits = text.lstrip("0") or "0"
+    # The length check comes first, so int() never meets its 4,300-digit limit.
+    if text.isascii() and text.isdigit() and len(digits) <= len(str(high)) and int(digits) <= high:
+        return int(digits)
+    raise DataError(f"{what} {cell!r} is not an integer in [0, {high}]")
 
 
 def _quote(text: str, alone: bool) -> str:

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import read_csv_rows, write_csv
+from .ioutil import read_csv_rows, read_int, write_csv
 
 NLL_FLOOR = 1e-12
 ECE_BINS = 15  # the default number of calibration bins
+MAX_BINS = 2**53  # the most bins whose edges are quotients of integers float64 holds exactly
 
 
 def predictions(probs, true_class, tag="") -> np.recarray:
@@ -86,10 +87,10 @@ def ece(preds: np.ndarray, num_bins: int = ECE_BINS) -> float:
     over the bins the records fill.
 
     Bin b covers ((b-1)/num_bins, b/num_bins], each edge the float64 quotient of
-    exact integers (num_bins <= 2**53); a confidence of 0 is in bin 1.
+    exact integers (num_bins <= MAX_BINS); a confidence of 0 is in bin 1.
     """
     _require_records(preds)
-    if not 1 <= num_bins <= 2**53:
+    if not 1 <= num_bins <= MAX_BINS:
         raise ValueError(f"num_bins must be in [1, 2**53], got {num_bins}")
     conf = preds["probs"].max(axis=1)
     # The floor of the rounded conf * num_bins is the 0-based bin or one off it.
@@ -143,18 +144,19 @@ def read_records_csv(path: str | Path) -> np.recarray:
     """Read a file written by :func:`write_records_csv`, validating every row."""
     table = read_csv_rows(path)
     header = table[0][1] if table else []
-    if header[:3] != ["index", "tag", "true_class"]:
+    num_classes = len(header) - 3  # the p columns
+    if header[:3] != ["index", "tag", "true_class"] or num_classes < 2:
         raise DataError(f"{path} is not a prediction-record CSV")
     records = table[1:]
     if not records:
         raise DataError(f"{path} contains no records")
+    true_class = []
     for line, row in records:
         if len(row) != len(header):
             raise DataError(f"{path} row {line} has {len(row)} fields, its header {len(header)}")
-    rows = [row for _, row in records]
+        true_class.append(read_int(f"{path} row {line}: true_class", row[2], num_classes - 1))
     try:
-        probs = np.array([[float(v) for v in row[3:]] for row in rows])
-        true_class = np.array([int(row[2]) for row in rows], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        probs = np.array([[float(v) for v in row[3:]] for _, row in records])
+    except ValueError as exc:
         raise DataError(f"{path} has a malformed number: {exc}") from None
-    return predictions(probs, true_class, np.array([row[1] for row in rows], dtype=np.str_))
+    return predictions(probs, true_class, np.array([row[1] for _, row in records], dtype=np.str_))

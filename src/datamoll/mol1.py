@@ -21,6 +21,7 @@ from .tensors import ChannelStats, ensure_stack
 
 MAGIC = b"MOL1"
 _HEADER = struct.Struct("<5I")
+MAX_CLASSES = 2**32 - 1  # num_classes is a u32 header field
 
 
 @dataclass
@@ -42,8 +43,8 @@ class Mol1Dataset:
             )
         if images.shape[0] == 0:
             raise DataError("dataset is empty")
-        if self.num_classes < 2:
-            raise DataError("num_classes must be at least 2")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise DataError(f"num_classes must be in [2, {MAX_CLASSES}], got {self.num_classes}")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.num_classes:
             raise DataError("labels must lie in [0, num_classes)")
         if images.shape[3] != self.stats.channels:

@@ -153,7 +153,7 @@ class TestIngest:
         (src / "labels.csv").write_text("filename,label\na.csv,0\nb.csv,x\n")
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
         err = capsys.readouterr().err
-        assert "labels.csv row 3: bad label 'x'" in err
+        assert "labels.csv row 3: label 'x' is not an integer in [0, 4294967294]" in err
 
     def test_a_label_row_after_a_field_spanning_lines_is_named_by_its_file_line(
         self, tmp_path, capsys
@@ -162,7 +162,8 @@ class TestIngest:
         src.mkdir()
         (src / "labels.csv").write_text('"a.csv\nx",0\nb.csv,z\n')
         assert main(["ingest", str(src), "--out", str(tmp_path / "x.mol1")]) == 3
-        assert capsys.readouterr().err == f"error: {src / 'labels.csv'} row 3: bad label 'z'\n"
+        message = f"{src / 'labels.csv'} row 3: label 'z' is not an integer in [0, 4294967294]"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_labels_that_are_not_utf8_name_file_and_row(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -252,7 +253,11 @@ class TestIngest:
         "labels, pixels, named",
         [
             ("a.csv,0\nb.csv,0\na.csv,1\n", "0,0\n0,0\n", "labels.csv row 3: a.csv is listed twice"),
-            ("a.csv,-1\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label -1 is negative"),
+            (
+                "a.csv,-1\nb.csv,0\n", "0,0\n0,0\n",
+                "labels.csv row 1: label '-1' is not an integer in [0, 4294967294]",
+            ),
+            ("a.csv,0\nb.csv,1,junk\n", "0,0\n0,0\n", "labels.csv row 2: malformed row"),
             ("a.csv,0\nb.csv,1\n", "0,x\n0,0\n", "a.csv row 1"),
             # A blank row is skipped, and a row is numbered by its file line.
             ("a.csv,0\nb.csv,1\n", "0,0\n\n0,x\n", "a.csv row 3"),
@@ -261,14 +266,15 @@ class TestIngest:
             ("a.csv,0\nb.csv,1\n", "0,0\n0,256\n", "a.csv row 2: pixel '256'"),
             ("a.csv,0\nb.csv,1\n", "0,1_0\n0,0\n", "a.csv row 1: pixel '1_0'"),
             # The class count, label + 1, must fit MOL1's u32 header field.
-            ("a.csv,4294967295\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label 4294967295"),
+            ("a.csv,4294967295\nb.csv,0\n", "0,0\n0,0\n", "labels.csv row 1: label '4294967295'"),
             (
                 "a.csv,0\nb.csv,99999999999999999999\n", "0,0\n0,0\n",
-                "labels.csv row 2: label 99999999999999999999 is above 4294967294",
+                "labels.csv row 2: label '99999999999999999999' is not an integer in [0, 4294967294]",
             ),
         ],
         ids=[
-            "duplicate-label", "negative-label", "non-integer-pixel", "blank-line", "comment-line",
+            "duplicate-label", "negative-label", "three-field-label-row", "non-integer-pixel",
+            "blank-line", "comment-line",
             "ragged-row", "pixel-past-255", "underscore-in-pixel", "label-past-u32",
             "label-past-int64",
         ],
@@ -846,7 +852,7 @@ class TestConfigSchema:
             ({"seed": True}, "seed"),
             ({"seed": -1}, "seed"),
             ({"seed": 2**64}, "seed"),
-            ({"schedule": {"mode_probs": [0.5, "a", 0.5]}}, "schedule.mode_probs[1]"),
+            ({"schedule": {"mode_probs": [0.5, "a", 0.5]}}, "schedule.mode_probs"),
             ({"schedule": {"mode_probs": 0.5}}, "schedule.mode_probs"),
             ({"dataset": 5}, "dataset"),
             ({"schedule": {"k_noise": float("nan")}}, "schedule.k_noise"),

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datamoll.cli import _read_image, _read_labels
 from datamoll.errors import DataError
 from datamoll.ioutil import (
-    KINDS, check_value, read_json_object, read_lines, write_bytes, write_csv, write_json
+    KINDS, check_value, read_csv_rows, read_json_object, write_bytes, write_csv, write_json
 )
+from datamoll.metrics import read_records_csv
 
 TEXTS = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " lead", "", "é-5"]
 INTS = list(range(-3, len(TEXTS) - 3))
@@ -105,15 +107,16 @@ def test_a_repeated_key_at_any_depth_names_the_file_and_key(tmp_path, text, key)
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(st.sampled_from(["a", ",", '"', "\r", "\n", "\x0c", "\x85", "\u2028"])))
-def test_lines_are_those_of_a_file_opened_with_newline_empty(text):
+def test_rows_and_line_numbers_are_those_of_a_file_opened_with_newline_empty(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         with open(path, newline="", encoding="utf-8") as fh:
-            expected = fh.readlines()
-        assert read_lines(path) == expected
+            reader = csv.reader(fh)
+            expected = [(reader.line_num, row) for row in reader]
+        assert read_csv_rows(path) == expected
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert read_lines(path) == expected
+        assert read_csv_rows(path) == expected
 
 
 def _call_name(node: ast.AST) -> str | None:
@@ -131,14 +134,7 @@ def _argument(call: ast.Call, index: int, keyword: str) -> ast.AST | None:
 
 def _text_reads(tree: ast.Module) -> list[str]:
     """The calls in ``tree`` that only ``ioutil`` may make: decoding bytes, opening a
-    file for text reading, parsing CSV or JSON text, and giving ``np.loadtxt``
-    anything but the lines ``ioutil.read_lines`` returns, such as a path."""
-    read = {}  # name -> whether every value the module binds to it comes from read_lines
-    for node in ast.walk(tree):
-        for target in node.targets if isinstance(node, ast.Assign) else []:
-            if isinstance(target, ast.Name):
-                lines = any(_call_name(inner) == "read_lines" for inner in ast.walk(node.value))
-                read[target.id] = read.get(target.id, True) and lines
+    file for text reading, and parsing CSV, JSON or other text, as ``np.loadtxt`` does."""
     found = []
     for call in ast.walk(tree):
         name = _call_name(call)
@@ -155,12 +151,7 @@ def _text_reads(tree: ast.Module) -> list[str]:
             if mode is not None and "r" in mode and "b" not in mode:
                 what = f"open(..., {mode!r})"
         elif name == "loadtxt":
-            source = _argument(call, 0, "fname")
-            if not (
-                _call_name(source) == "read_lines"
-                or isinstance(source, ast.Name) and read.get(source.id, False)
-            ):
-                what = "np.loadtxt() of something other than read_lines()"
+            what = "np.loadtxt()"
         if what is not None:
             found.append(f"line {call.lineno}: {what}")
     return found
@@ -203,3 +194,49 @@ def test_only_ioutil_reads_text():
         if module.name != "ioutil.py":
             found[module.name] = _text_reads(ast.parse(module.read_text(encoding="utf-8")))
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# Each reader of an integer cell: what it names the cell, how it reads the cell's
+# number from a CSV file, the file's rows about the cell, the row it names, the bound.
+RECORDS_HEADER = ["index", "tag", "true_class", *(f"p{i}" for i in range(10))]
+INT_READERS = [
+    ("label", lambda path: _read_labels(path)["a.csv"], lambda cell: [["a.csv", cell]], 1, 2**32 - 2),
+    ("pixel", lambda path: _read_image(path, (1,))[0, 0, 0], lambda cell: [[cell, "0"]], 1, 255),
+    (
+        "true_class",
+        lambda path: read_records_csv(path).true_class[0],
+        lambda cell: [RECORDS_HEADER, ["0", "a", cell, "1", *["0"] * 9]],
+        2,
+        9,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "what, read, rows, line, high", INT_READERS, ids=[reader[0] for reader in INT_READERS]
+)
+@pytest.mark.parametrize(
+    "cell, value",
+    [
+        ("7", "7"), (" 7 ", "7"), ("007", "7"), ("0", "0"), ("{high}", "{high}"),
+        ("+7", None), ("-0", None), ("1_0", None), ("\u0663", None), ("7\xa0", None), ("", None),
+        ("{above}", None), ("9" * 5000, None),
+    ],
+    ids=[
+        "7", "blanks", "zero-padded", "0", "bound", "plus", "minus-zero", "underscore",
+        "arabic-indic-3", "nbsp", "empty", "bound+1", "5000-digits",
+    ],
+)
+def test_every_integer_cell_is_read_by_one_grammar(
+    tmp_path, what, read, rows, line, high, cell, value
+):
+    cell = cell.format(high=high, above=high + 1)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows(cell))
+    if value is not None:
+        assert read(path) == int(value.format(high=high))
+    else:
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value) == f"{path} row {line}: {what} {cell!r} is not an integer in [0, {high}]"

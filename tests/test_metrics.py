@@ -15,6 +15,7 @@ from pytest import approx
 
 from datamoll.errors import DataError
 from datamoll.metrics import (
+    MAX_BINS,
     avg_nll,
     ece,
     error_rate,
@@ -148,6 +149,7 @@ class TestEceBinning:
             ece(repeated([1.0, 0.0], 0), bins)
 
     def test_2_53_bins_is_in_range(self):
+        assert MAX_BINS == 2**53
         assert ece(repeated([0.75, 0.25], 0, 4), 2**53) == approx(0.25, abs=1e-15)
 
 

@@ -101,6 +101,16 @@ class TestValidation:
                 stats=ChannelStats(mean=np.zeros(1), std=np.ones(1)),
             )
 
+    def test_the_class_count_is_bounded_by_its_u32_header_field(self, tmp_path):
+        def dataset(num_classes):
+            stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
+            return Mol1Dataset(np.zeros((1, 1, 1, 1)), np.array([1]), num_classes, stats)
+
+        save_mol1(dataset(2**32 - 1), tmp_path / "max.mol1")
+        assert load_mol1(tmp_path / "max.mol1").num_classes == 2**32 - 1
+        with pytest.raises(DataError, match=r"num_classes must be in \[2, 4294967295\], got 4294967296"):
+            dataset(2**32)
+
     def test_manifest_contents(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = make_dataset(rng)
@@ -132,7 +142,7 @@ class TestValidation:
         [
             ({24: struct.pack("<f", np.nan)}, "images contain non-finite values"),
             ({32: struct.pack("<I", 2)}, "labels must lie in [0, num_classes)"),
-            ({20: struct.pack("<I", 1)}, "num_classes must be at least 2"),
+            ({20: struct.pack("<I", 1)}, "num_classes must be in [2, 4294967295], got 1"),
             (
                 {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
                 "channel statistics do not match the image channel count",
