@@ -39,7 +39,8 @@ from .analysis import (
 )
 from .errors import DataError, TrainingDivergedError
 from .ioutil import (
-    check_value, read_csv_rows, read_int, read_json_object, write_csv, write_json, write_text
+    check_value, read_csv_rows, read_float, read_int, read_json_object, write_csv, write_json,
+    write_text,
 )
 from .metrics import ECE_BINS, MAX_BINS, evaluate, format_report_table, write_records_csv
 from .mol1 import MAX_CLASSES, Mol1Dataset, load_mol1, manifest_path, save_mol1
@@ -106,23 +107,32 @@ _KIND_OF = {bool: "a boolean", int: "an integer", float: "a finite number", str:
 
 
 def _flag_type(kind: str, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """An argparse type: ``parse`` of a flag's text, which must give a value of ``kind``."""
+    """An argparse type: ``parse`` of a flag's text; its DataError is a usage error
+    ``expected <kind>, got '<text>'``."""
 
     def convert(text: str):
         try:
-            return check_value("flag", parse(text), kind)
-        except ValueError:  # a DataError too
+            return parse(text)
+        except DataError:
             raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
 
     return convert
 
 
+def _int_flag(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer in [``low``, 2**64), read as an integer cell is."""
+    kind = f"an integer in [{low}, 2**64)"
+    return _flag_type(kind, lambda text: read_int("flag", text, low, 2**64 - 1))
+
+
 _BOOLS = dict.fromkeys(("true", "1", "yes", "on"), True)
 _BOOLS |= dict.fromkeys(("false", "0", "no", "off"), False)
-parse_u64 = _flag_type("an integer in [0, 2**64)", int)
-parse_positive_int = _flag_type("a positive integer", int)
-_finite = _flag_type("a finite number", float)
-_bool = _flag_type("a boolean", lambda text: _BOOLS.get(text.strip().lower()))
+parse_u64 = _int_flag(0)
+parse_positive_int = _int_flag(1)
+_finite = _flag_type("a finite number", lambda text: read_float("flag", text))
+_bool = _flag_type(
+    "a boolean", lambda text: check_value("flag", _BOOLS.get(text.strip().lower()), "a boolean")
+)
 
 
 def _parse_mode_probs(text: str) -> list[float]:
@@ -132,7 +142,7 @@ def _parse_mode_probs(text: str) -> list[float]:
     return [_finite(p) for p in parts]
 
 
-_N = {"type": _flag_type("an integer", int), "metavar": "N"}
+_N = {"type": parse_u64, "metavar": "N"}
 _F = {"type": _finite, "metavar": "F"}
 _BOOL = {"type": _bool, "metavar": "BOOL"}
 # The flag of each setting that has one is ``--`` and the setting's name with
@@ -305,7 +315,7 @@ def _read_labels(labels_file: Path) -> dict[str, int]:
         if name in labels:
             raise DataError(f"{where}: {name} is listed twice")
         # The class count, the largest label + 1, must fit the MOL1 header.
-        labels[name] = read_int(f"{where}: label", row[1], MAX_CLASSES - 1)
+        labels[name] = read_int(f"{where}: label", row[1], 0, MAX_CLASSES - 1)
     return labels
 
 
@@ -328,7 +338,7 @@ def _read_image(path: Path, shape: tuple[int, ...]) -> np.ndarray:
         where = f"{path} row {line}"
         if len(row) != width:
             raise DataError(f"{where}: {len(row)} values, where the first row has {width}")
-        grid.append([read_int(f"{where}: pixel", cell, 255) for cell in row])
+        grid.append([read_int(f"{where}: pixel", cell, 0, 255) for cell in row])
     return np.array(grid, dtype=np.int64).reshape(len(grid), -1, shape[-1])
 
 

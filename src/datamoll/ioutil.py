@@ -7,7 +7,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+import re
 import string
 import sys
 from pathlib import Path
@@ -113,15 +115,31 @@ def read_json_object(path: str | Path, raw: bytes | None = None) -> dict:
     return value
 
 
-def read_int(what: str, cell: str, high: int) -> int:
-    """The integer in ``cell``, ASCII digits (zero padding and ASCII blanks around them allowed)
-    in [0, ``high``]; else a DataError ``<what> '<cell>' is not an integer in [0, <high>]``."""
+def read_int(what: str, cell: str, low: int, high: int) -> int:
+    """The integer in ``cell``, ASCII digits (zero padding and ASCII blanks around them
+    allowed) in [``low``, ``high``]; else a DataError ``<what> '<cell>' is not an integer
+    in [<low>, <high>]``."""
     text = cell.strip(string.whitespace)
     digits = text.lstrip("0") or "0"
     # The length check comes first, so int() never meets its 4,300-digit limit.
-    if text.isascii() and text.isdigit() and len(digits) <= len(str(high)) and int(digits) <= high:
-        return int(digits)
-    raise DataError(f"{what} {cell!r} is not an integer in [0, {high}]")
+    if text.isascii() and text.isdigit() and len(digits) <= len(str(high)):
+        if low <= int(digits) <= high:
+            return int(digits)
+    raise DataError(f"{what} {cell!r} is not an integer in [{low}, {high}]")
+
+
+# An optional sign, ASCII digits with at most one point, and an optional exponent:
+# every float repr and every decimal literal, but no name such as nan or inf.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def read_float(what: str, cell: str) -> float:
+    """The finite number in ``cell``, a decimal (ASCII blanks around it allowed); else a
+    DataError ``<what> '<cell>' is not a finite number``."""
+    text = cell.strip(string.whitespace)
+    if _DECIMAL.fullmatch(text) and math.isfinite(value := float(text)):
+        return value
+    raise DataError(f"{what} {cell!r} is not a finite number")
 
 
 def _quote(text: str, alone: bool) -> str:

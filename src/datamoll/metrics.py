@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import read_csv_rows, read_int, write_csv
+from .ioutil import read_csv_rows, read_float, read_int, write_csv
 
 NLL_FLOOR = 1e-12
 ECE_BINS = 15  # the default number of calibration bins
@@ -150,13 +150,11 @@ def read_records_csv(path: str | Path) -> np.recarray:
     records = table[1:]
     if not records:
         raise DataError(f"{path} contains no records")
-    true_class = []
+    true_class, probs = [], []
     for line, row in records:
+        where = f"{path} row {line}"
         if len(row) != len(header):
-            raise DataError(f"{path} row {line} has {len(row)} fields, its header {len(header)}")
-        true_class.append(read_int(f"{path} row {line}: true_class", row[2], num_classes - 1))
-    try:
-        probs = np.array([[float(v) for v in row[3:]] for _, row in records])
-    except ValueError as exc:
-        raise DataError(f"{path} has a malformed number: {exc}") from None
+            raise DataError(f"{where} has {len(row)} fields, its header {len(header)}")
+        true_class.append(read_int(f"{where}: true_class", row[2], 0, num_classes - 1))
+        probs.append([read_float(f"{where}: {p}", cell) for p, cell in zip(header[3:], row[3:])])
     return predictions(probs, true_class, np.array([row[1] for _, row in records], dtype=np.str_))

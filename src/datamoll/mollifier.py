@@ -60,8 +60,10 @@ def heat_multipliers(height: int, width: int, tau: float) -> np.ndarray:
     """Per-frequency attenuation exp(-tau * pi^2 (w^2/W^2 + h^2/H^2))."""
     if not 0 <= tau < math.inf:
         raise ValueError(f"dissipation time must be finite and non-negative, got {tau}")
-    with np.errstate(over="ignore"):  # -tau * rate overflows to -inf, and exp(-inf) = 0 exactly
-        return np.exp(-tau * _heat_rates(height, width))
+    # Beyond 1e300, -tau * rate would overflow, with a warning.  At 1e300 every positive
+    # rate, at least pi^2 / max(H, W)^2, already gives exp(-tau * rate) == 0.0 exactly,
+    # and the rate 0 gives 1.0 at any tau, so the clamp changes no bit.
+    return np.exp(-min(tau, 1e300) * _heat_rates(height, width))
 
 
 def heat_blur(images: np.ndarray, tau: float) -> np.ndarray:

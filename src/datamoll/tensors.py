@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# The same pocketfft transform as scipy.fft's dct/idct, bit for bit, without
-# scipy.fft's backend dispatch, which costs more than the transform itself on
-# a 16x16 image.
-from scipy.fftpack import dct, idct
+# The r2r kernel in which scipy.fftpack.dct and idct end.  The DCT calls it
+# directly, once per axis, with the arguments scipy passes it, so the bits are
+# scipy's; scipy's argument handling would cost 1.5x the transform itself on a
+# 16x16 image.
+from scipy.fft._pocketfft.pypocketfft import dct as _r2r
 
 from .errors import DataError
 
@@ -111,14 +112,18 @@ def dct2d(images: np.ndarray) -> np.ndarray:
     ``images`` is one (H, W, C) image or an (N, H, W, C) stack, validated;
     each image is transformed on its own, with the same arithmetic either way.
     """
-    out = dct(ensure_image_or_stack(images), type=2, norm="ortho", axis=-3)
-    return dct(out, type=2, norm="ortho", axis=-2)
+    # The arguments of scipy.fftpack.dct(x, type=2, norm="ortho", axis=a): the type,
+    # the axis, inorm 1 (divide by sqrt(2N)), a new output, 1 thread, ortho by inorm.
+    # One call over both axes would round differently.
+    out = _r2r(ensure_image_or_stack(images), 2, (-3,), 1, None, 1, None)
+    return _r2r(out, 2, (-2,), 1, None, 1, None)
 
 
 def idct2d(grid: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`dct2d` up to floating-point roundoff."""
-    out = idct(ensure_image_or_stack(grid), type=2, norm="ortho", axis=-2)
-    return idct(out, type=2, norm="ortho", axis=-3)
+    # scipy.fftpack.idct(x, type=2, norm="ortho", axis=a) is the type-III kernel call.
+    out = _r2r(ensure_image_or_stack(grid), 3, (-2,), 1, None, 1, None)
+    return _r2r(out, 3, (-3,), 1, None, 1, None)
 
 
 def radial_frequencies(height: int, width: int) -> np.ndarray:

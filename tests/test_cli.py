@@ -795,6 +795,29 @@ class TestConfigAndErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flag, text, kind",
+        [
+            ("--t-steps", "1_1", "an integer in [0, 2**64)"),
+            ("--t-steps", " \u0663 ", "an integer in [0, 2**64)"),
+            ("--k-noise", "0.0_1", "a finite number"),
+        ],
+    )
+    def test_a_flag_that_int_or_float_would_take_is_a_usage_error(
+        self, tmp_path, capsys, flag, text, kind
+    ):
+        out = tmp_path / "o"
+        assert main(["schedule-dump", "--out", str(out), flag, text]) == 2
+        assert f"argument {flag}: expected {kind}, got {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_and_float_flags_take_blanks_padding_and_exponents(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["schedule-dump", "--out", str(out), "--t-steps", " 007 ", "--k-noise", "+.5e1"]
+        assert main(argv) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["t_steps"] == 7 and config["schedule"]["k_noise"] == 5.0
+
+    @pytest.mark.parametrize(
         "flags, config, field",
         [
             (["--batch-size", "0"], {}, "batch_size"),

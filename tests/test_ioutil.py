@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import io
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamoll.cli import _read_image, _read_labels
+from datamoll.cli import _finite, _read_image, _read_labels, parse_positive_int, parse_u64
 from datamoll.errors import DataError
 from datamoll.ioutil import (
-    KINDS, check_value, read_csv_rows, read_json_object, write_bytes, write_csv, write_json
+    KINDS, check_value, read_csv_rows, read_float, read_json_object, write_bytes, write_csv,
+    write_json,
 )
 from datamoll.metrics import read_records_csv
 
@@ -212,21 +214,19 @@ INT_READERS = [
 ]
 
 
+# Integer cells and what each reads as, None where it is refused; {high} is the bound.
+INT_CELLS = {
+    "7": ("7", "7"), "blanks": (" 7 ", "7"), "zero-padded": ("007", "7"), "0": ("0", "0"),
+    "bound": ("{high}", "{high}"), "plus": ("+7", None), "minus-zero": ("-0", None),
+    "underscore": ("1_0", None), "arabic-indic-3": ("\u0663", None), "nbsp": ("7\xa0", None),
+    "empty": ("", None), "bound+1": ("{above}", None), "5000-digits": ("9" * 5000, None),
+}
+
+
 @pytest.mark.parametrize(
     "what, read, rows, line, high", INT_READERS, ids=[reader[0] for reader in INT_READERS]
 )
-@pytest.mark.parametrize(
-    "cell, value",
-    [
-        ("7", "7"), (" 7 ", "7"), ("007", "7"), ("0", "0"), ("{high}", "{high}"),
-        ("+7", None), ("-0", None), ("1_0", None), ("\u0663", None), ("7\xa0", None), ("", None),
-        ("{above}", None), ("9" * 5000, None),
-    ],
-    ids=[
-        "7", "blanks", "zero-padded", "0", "bound", "plus", "minus-zero", "underscore",
-        "arabic-indic-3", "nbsp", "empty", "bound+1", "5000-digits",
-    ],
-)
+@pytest.mark.parametrize("cell, value", INT_CELLS.values(), ids=INT_CELLS.keys())
 def test_every_integer_cell_is_read_by_one_grammar(
     tmp_path, what, read, rows, line, high, cell, value
 ):
@@ -240,3 +240,60 @@ def test_every_integer_cell_is_read_by_one_grammar(
         with pytest.raises(DataError) as info:
             read(path)
         assert str(info.value) == f"{path} row {line}: {what} {cell!r} is not an integer in [0, {high}]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_write_csv_writes_reads_back(value):
+    back = read_float("x", str(value))
+    assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize(
+    "parse, low", [(parse_u64, 0), (parse_positive_int, 1)], ids=["u64", "positive"]
+)
+@pytest.mark.parametrize("cell, value", INT_CELLS.values(), ids=INT_CELLS.keys())
+def test_an_integer_flag_is_read_as_an_integer_cell(parse, low, cell, value):
+    high = 2**64 - 1
+    cell = cell.format(high=high, above=high + 1)
+    if value is not None and int(value.format(high=high)) >= low:
+        assert parse(cell) == int(value.format(high=high))
+    else:
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            parse(cell)
+        assert str(info.value) == f"expected an integer in [{low}, 2**64), got {cell!r}"
+
+
+# Number cells and what each reads as, None where it is refused.
+FLOAT_CELLS = [
+    ("3.2e-17", 3.2e-17), ("1e-05", 1e-05), ("1.0", 1.0), ("-0.0", -0.0), (" 7 ", 7.0),
+    ("+.5", 0.5), ("5.", 5.0), ("2E+3", 2000.0), ("1e-400", 0.0), ("007", 7.0),
+    ("0.0_1", None), ("\u0660.\u0665", None), ("nan", None), ("inf", None), ("-Infinity", None),
+    ("1e400", None), ("", None), (".", None), ("e5", None), ("1e", None), ("1.2.3", None),
+    ("0x10", None), ("1,5", None), ("--1", None), ("7\xa0", None), ("\xbd", None),
+]
+# Each reader of a number: a function of the text, the error it raises, its message.
+FLOAT_READERS = {
+    "cell": (lambda text: read_float("at", text), DataError, "at {!r} is not a finite number"),
+    "flag": (_finite, argparse.ArgumentTypeError, "expected a finite number, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("read, error, message", FLOAT_READERS.values(), ids=FLOAT_READERS.keys())
+@pytest.mark.parametrize("cell, value", FLOAT_CELLS)
+def test_every_number_is_read_by_one_grammar(read, error, message, cell, value):
+    if value is not None:
+        back = read(cell)
+        assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+    else:
+        with pytest.raises(error) as info:
+            read(cell)
+        assert str(info.value) == message.format(cell)
+
+
+def test_a_probability_cell_is_named_by_its_row_and_column(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("index,tag,true_class,p0,p1\n0,a,0,0.5,0.5\n1,a,0,0.5,0.0_5e1\n")
+    with pytest.raises(DataError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path} row 3: p1 '0.0_5e1' is not a finite number"

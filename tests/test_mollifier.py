@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestBlur:
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         assert np.array_equal(heat_multipliers(16, 16, 1e308), expected)
+
+    @pytest.mark.parametrize("tau", [1e300, 9e306, 1.7e308])
+    def test_multipliers_near_the_overflow_edge_equal_the_unclamped_form(self, tau):
+        # heat_multipliers clamps tau at 1e300.  At 9e306 the unclamped exponent
+        # -tau * rate is still finite, and at 1.7e308 it overflows at the larger rates;
+        # either way the clamp must give the bits of the unclamped product.
+        for h, w in [(16, 16), (13, 7), (1, 1), (2, 9), (1024, 3)]:
+            with np.errstate(over="ignore"):
+                expected = closed_form_heat_multipliers(h, w, tau)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(heat_multipliers(h, w, tau), expected), (h, w)
 
     @pytest.mark.filterwarnings("error")
     def test_full_blur_at_the_largest_sigma_max_is_each_channel_mean(self):

@@ -195,6 +195,20 @@ class TestDct:
             assert np.array_equal(dct2d(img), grid)
             assert np.array_equal(idct2d(grid), two_call_idct2d(grid))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_a_stack_of_any_layout_equals_the_per_image_fftpack_form(self, layout):
+        # The r2r kernel walks a stack by its own strides; an info_curve chunk is a
+        # slice of its stack, in the stack's order.
+        base = np.random.default_rng(31).standard_normal((9, 20, 18, 3))
+        stack = {
+            "C": base[2:7],
+            "F": np.asfortranarray(base)[2:7],
+            "strided": base[::2, 1::2, ::-1, ::2],
+        }[layout]
+        grids = np.stack([two_call_dct2d(img) for img in stack])
+        assert np.array_equal(dct2d(stack), grids)
+        assert np.array_equal(idct2d(stack), np.stack([two_call_idct2d(img) for img in stack]))
+
     def test_zero_grid_inverts_to_zero(self):
         assert idct2d(np.zeros((4, 4, 1))) == approx(np.zeros((4, 4, 1)))
 
