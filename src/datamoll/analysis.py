@@ -52,34 +52,50 @@ def _axis_blocks(n: int, block: int):
 
 
 @lru_cache(maxsize=64)
-def _pixel_blocks(h: int, w: int, block: int) -> tuple[np.ndarray, ...]:
-    """Flat pixel indices of an (h, w) image's blocks, grouped by block shape.
+def _pixel_layout(h: int, w: int, block: int):
+    """How :func:`_pixelate` walks an (h, w) image's blocks: ``(order, segments,
+    counts, back)``.
 
-    Each group is a read-only ``(blocks, pixels)`` array, one row per block
-    and its pixels row-major within it.  Gathering a block's pixels in this
-    order makes its mean the same bits as the mean of its slice of a
-    C-contiguous image.
+    ``order`` lists the flat pixel indices block by block, the blocks grouped
+    by shape and each block's pixels row-major within it.  Each of
+    ``segments`` is one shape's ``(span of order, span of blocks, pixels per
+    block)``; ``counts`` is each block's pixel count as a ``(blocks, 1)``
+    float column and ``back`` each pixel's block.  The arrays are read-only.
+    A segment of the gathered image is the ``(blocks, pixels, C)`` array of
+    its shape's blocks, so its sum along the pixels, over the count, is the
+    same bits as the mean of each block's slice of a C-contiguous image.
     """
     groups = []
     for rows, bh in _axis_blocks(h, block):
         for cols, bw in _axis_blocks(w, block):
             if rows.size and cols.size:
                 corners = np.add.outer(rows * w, cols).reshape(-1, 1)
-                idx = corners + np.add.outer(np.arange(bh) * w, np.arange(bw)).reshape(1, -1)
-                idx.setflags(write=False)
-                groups.append(idx)
-    return tuple(groups)
+                groups.append(corners + np.add.outer(np.arange(bh) * w, np.arange(bw)).reshape(1, -1))
+    segments, pixel, first = [], 0, 0
+    for idx in groups:
+        segments.append((slice(pixel, pixel + idx.size), slice(first, first + len(idx)), idx.shape[1]))
+        pixel, first = pixel + idx.size, first + len(idx)
+    order = np.concatenate([idx.ravel() for idx in groups])
+    pixels = np.concatenate([np.full(len(idx), idx.shape[1]) for idx in groups])
+    back = np.empty(h * w, dtype=np.intp)
+    back[order] = np.repeat(np.arange(len(pixels)), pixels)
+    counts = pixels.astype(np.float64)[:, None]
+    for arr in (order, counts, back):
+        arr.setflags(write=False)
+    return order, tuple(segments), counts, back
 
 
 def _pixelate(img: np.ndarray, block: int) -> np.ndarray:
     """Replace every ``block`` x ``block`` tile (cut off at the edges) by its mean."""
     h, w, c = img.shape
-    flat = img.reshape(h * w, c)
-    out = np.empty_like(flat)
+    order, segments, counts, back = _pixel_layout(h, w, block)
+    gathered = img.reshape(h * w, c).take(order, axis=0)
+    means = np.empty((len(counts), c))
+    for pixel_span, block_span, size in segments:
+        np.add.reduce(gathered[pixel_span].reshape(-1, size, c), axis=1, out=means[block_span])
     # sum / count is np.mean's arithmetic, bit for bit, without its Python wrapper.
-    for idx in _pixel_blocks(h, w, block):
-        out[idx] = (flat[idx].sum(axis=1) / idx.shape[1])[:, None, :]
-    return out.reshape(img.shape)
+    means /= counts
+    return means.take(back, axis=0).reshape(img.shape)
 
 
 def corrupt(

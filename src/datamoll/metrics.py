@@ -115,10 +115,11 @@ def evaluate(preds: np.ndarray, num_bins: int = ECE_BINS) -> dict:
     dict of such reports when there are two or more tags: the object ``eval.json``
     stores for each split."""
     report = _report(preds, num_bins)
-    tags = preds["tag"]
-    distinct = np.unique(tags)
+    distinct, group, counts = np.unique(preds["tag"], return_inverse=True, return_counts=True)
     if len(distinct) > 1:
-        report["per_tag"] = {str(tag): _report(preds[tags == tag], num_bins) for tag in distinct}
+        # A stable sort keeps each tag's records in record order, as a mask would.
+        parts = np.split(preds[np.argsort(group, kind="stable")], np.cumsum(counts[:-1]))
+        report["per_tag"] = {str(tag): _report(part, num_bins) for tag, part in zip(distinct, parts)}
     return report
 
 

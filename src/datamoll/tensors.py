@@ -34,11 +34,18 @@ def ensure_image(img: np.ndarray) -> np.ndarray:
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 3:
         raise DataError(f"image must have shape (H, W, C), got shape {arr.shape}")
-    if min(arr.shape) < 1:
+    if arr.size == 0:
         raise DataError(f"image axes must be non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise DataError("image contains non-finite values")
     return arr
+
+
+def _as_float64(images: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    try:
+        return np.asarray(images, dtype=np.float64)
+    except ValueError:
+        raise DataError("images must share one (H, W, C) shape") from None
 
 
 def ensure_stack(images: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -47,13 +54,10 @@ def ensure_stack(images: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     ``images`` is such a stack or a sequence of equal-shape (H, W, C)
     images.  N may be 0; H, W and C may not, and every value must be finite.
     """
-    try:
-        stack = np.asarray(images, dtype=np.float64)
-    except ValueError:
-        raise DataError("images must share one (H, W, C) shape") from None
-    if stack.ndim != 4 or min(stack.shape[1:]) < 1:
+    stack = _as_float64(images)
+    if stack.ndim != 4 or 0 in stack.shape[1:]:
         raise DataError(f"images must form an (N, H, W, C) stack, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
+    if np.count_nonzero(np.isfinite(stack)) != stack.size:
         raise DataError("images contain non-finite values")
     return stack
 
@@ -103,7 +107,8 @@ def compute_channel_stats(dataset: Sequence[np.ndarray] | np.ndarray) -> Channel
 
 def ensure_image_or_stack(images: np.ndarray) -> np.ndarray:
     """:func:`ensure_stack` of an (N, H, W, C) stack, else :func:`ensure_image`."""
-    return ensure_stack(images) if np.ndim(images) == 4 else ensure_image(images)
+    arr = _as_float64(images)
+    return ensure_stack(arr) if arr.ndim == 4 else ensure_image(arr)
 
 
 def dct2d(images: np.ndarray) -> np.ndarray:

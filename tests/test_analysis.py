@@ -9,7 +9,7 @@ from datamoll.analysis import (
     CORRUPTION_KINDS,
     _CONTRAST_FACTORS,
     _PIXELATE_BLOCKS,
-    _pixel_blocks,
+    _pixel_layout,
     annulus_means,
     corrupt,
     corruption_cell,
@@ -89,9 +89,10 @@ class TestCorrupt:
                 assert np.array_equal(contrast, mean_contrast(img, factor)), label
 
     def test_cached_pixel_blocks_are_read_only(self):
-        for idx in _pixel_blocks(13, 7, 4):
+        order, _, counts, back = _pixel_layout(13, 7, 4)
+        for arr in (order, counts, back):
             with pytest.raises(ValueError):
-                idx[0, 0] = 0
+                arr[0] = 0
 
     def test_gauss_noise_needs_rng_and_is_seeded(self):
         img = np.zeros((4, 4, 1))
@@ -130,6 +131,66 @@ class TestCorruptionCell:
     def test_three_d_stack_names_its_shape(self):
         with pytest.raises(DataError, match=r"\(4, 8, 8\)"):
             corruption_cell(np.zeros((4, 8, 8)), "contrast", 2, seed=0)
+
+    # SHA-256 of each cell at severities 1..5, taken from the per-block-shape
+    # pixelation (one gather and one scatter per block shape).  No kind here
+    # calls exp or log, so the digests hold at every SIMD dispatch level.
+    @pytest.mark.parametrize(
+        "shape, kind, digests",
+        [
+            ((8, 16, 16, 1), "gauss_noise", (
+                "d962ef8bf18271e89020242376d903674efac31232960b2f3c07fbd5e59391b3",
+                "857d6a174c5d9b12a25efe4dd96b671e891a9acabf8d863624a19c9d42a99cc2",
+                "4ed701ff6cb1188a3b37214139fcfccb0b944d3dad63da9247f1ba394a213a7b",
+                "7801260beb6c38ead5e070e290aa90c0b3ac3645a7647e1829c8074c79424934",
+                "bf3a5c4538ae7c493ec983c34d90f831e53e9b355a717549e4894fa74855e1bf",
+            )),
+            ((8, 16, 16, 1), "contrast", (
+                "0131fc7dceb818983c376f946b8afd15bcab334b5ae7a7aa6b67ed4a602b0994",
+                "12323842f1889b26721bdd205c047004391c7055bac6de5d72a01c99f759257c",
+                "350e8c2c4343eafb3a1b145b1733bb8e871e147fef07a9fed60d5f9689776352",
+                "d182208dd5f5b354601ba1fb266b762e067d8e4e861c1401b144b0843642fc9f",
+                "ae348c350a661ad4b28d6029518b2a284c60c614d04233ddceefbd1f6d2017b1",
+            )),
+            ((8, 16, 16, 1), "pixelate", (
+                "cb9c7e769b21d7f053ef489287774f19c4cad2d7f9bdc67aee70680d7e72a468",
+                "343c4706de85b756824f38330dd70262f176365e7ea2fbb9f73352233e4e2871",
+                "71a09a4c75802b56988acbb317019191ec750256b0de91029d6e241ff2d9b3c3",
+                "2a96e955f8b9ace1c3cc4ab57d274f1d3b2c785ee9db324fb0d8e4f5dbe752d9",
+                "13b2045360f2dd5e5c2a9b7d81c640c42512a644a227d74e3259bc8bf5b63289",
+            )),
+            ((6, 13, 7, 3), "gauss_noise", (
+                "e4c2f572a447b9de3ac4424b263ab5692669b8ab12db1b9e2104b3feb5e6b890",
+                "881a1860bfa9cac9892dc3e834ea0d900139694c01a6457026a9d793334a5403",
+                "1b8069521038fe0a9cc4697f04eacb4c0230368b2fa7e31769bb66138ab2addf",
+                "824a163e45c4924db22606412e65323bf6672abb71dcecbb47132b6e4842aeb8",
+                "d70c781c6377f032795a8088576d4b228fd344ad87c215e102ea6fbe6ef7cad6",
+            )),
+            ((6, 13, 7, 3), "contrast", (
+                "43dbf8c3dc01d322c8b4e8adf0788342a65770a14fdf33648e7e3190a85a4955",
+                "e68b37dc8dc0f285526fd65a9336a18fb7e58dd29a0b639703c015e379f3902d",
+                "9d75d1c0f09b273800d9cd6ef02445f9d58a6928497d527b6891430ff4ce0a5d",
+                "08c47c83adf585dfa843606e5344356d7b1184df5f0e0e25b728fb73d7cb8d84",
+                "dbc77425aeb20887ad7964da5100a0c120b6666474fe6bb3730cd2322de60636",
+            )),
+            ((6, 13, 7, 3), "pixelate", (
+                "accb1834a1e4263fafc945d2130ce2b2ebd100c4afab683a8f471cc6172640d5",
+                "66fe3bc45e6736dc58d7f9cb87a823cfb79dabd8de0c563bdca5446eaa01bbc1",
+                "88240273180218b00341e221f42afd151e9a2a073e844cc9d927092bca1c8455",
+                "16f1fbe1f67201a7547a3e63cd4a11d799d6aa22d4ef6d94d26d3766b4b160fb",
+                "fab6670d8b0dd5451190d1e949dc601efe4483eafc278585927e92a8b85327c6",
+            )),
+        ],
+        ids=[
+            "gauss_noise-16x16x1", "contrast-16x16x1", "pixelate-16x16x1",
+            "gauss_noise-13x7x3", "contrast-13x7x3", "pixelate-13x7x3",
+        ],
+    )
+    def test_cells_are_pinned(self, shape, kind, digests):
+        stack = np.random.default_rng(sum(shape)).standard_normal(shape)
+        for severity, digest in zip(range(1, 6), digests):
+            out = corruption_cell(stack, kind, severity, seed=2**63 + 9)
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest, severity
 
     def test_one_nan_pixel_is_a_data_error(self):
         # The cell's stack check is the only scan of its rows; corrupt trusts them.

@@ -16,6 +16,7 @@ from pytest import approx
 from datamoll.errors import DataError
 from datamoll.metrics import (
     MAX_BINS,
+    _report,
     avg_nll,
     ece,
     error_rate,
@@ -175,6 +176,19 @@ class TestEvaluateAndIo:
         assert rep["per_tag"]["noisy"]["error"] == 1.0
         table = format_report_table(rep)
         assert "clean" in table and "noisy" in table
+
+    @pytest.mark.parametrize("num_bins", [1, 15, 1000])
+    def test_per_tag_reports_equal_those_of_each_tags_mask(self, num_bins):
+        # Tags interleave, so a sort that reordered a tag's records would change
+        # avg_nll's ordered sum and ECE's grouped sums.
+        rng = np.random.default_rng(8)
+        probs = rng.dirichlet(np.full(4, 0.7), size=3000)
+        tags = np.array(["a", "b", "a", "c", "b", "a", "d"])[np.arange(3000) % 7]
+        recs = predictions(probs, rng.integers(0, 4, 3000), tags)
+        per_tag = evaluate(recs, num_bins)["per_tag"]
+        assert list(per_tag) == ["a", "b", "c", "d"]
+        for tag, report in per_tag.items():
+            assert report == _report(recs[tags == tag], num_bins), tag
 
     def test_one_tag_gets_no_copy_of_the_report(self):
         rep = evaluate(repeated([0.9, 0.1], 0, 4, "clean"))

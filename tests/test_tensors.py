@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from datamoll.errors import DataError
+from datamoll.mollifier import heat_blur
 from datamoll.synth import standardized_dataset
 from datamoll.tensors import (
     ChannelStats,
@@ -104,6 +105,13 @@ class TestEnsure:
             ensure_image(img)
         with pytest.raises(DataError, match="^images contain non-finite values$"):
             ensure_stack(stack)
+
+    def test_ragged_images_are_a_data_error_in_every_transform(self):
+        # The same error ensure_stack gives, not NumPy's inhomogeneous-shape ValueError.
+        images = [np.zeros((4, 4, 1)), np.zeros((4, 3, 1))]
+        for transform in (dct2d, idct2d, lambda x: heat_blur(x, 0.5)):
+            with pytest.raises(DataError, match=r"^images must share one \(H, W, C\) shape$"):
+                transform(images)
 
 
 def _standardize(images: np.ndarray, stats: ChannelStats) -> np.ndarray:
