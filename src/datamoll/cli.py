@@ -1,10 +1,12 @@
 """Command-line interface wiring the library into reproducible runs.
 
 Subcommands: ``ingest`` (8-bit images or CSV pixel grids -> MOL1 container),
+``make-datasets`` (the desk-scale texture splits and 1/f fractal set),
 ``schedule-dump`` (all schedule curves as CSV), ``mollify`` (export a
 mollified copy of a dataset), ``train``, ``eval`` (clean and, optionally,
 the 4-corruption x 5-severity grid), ``infocurve`` (PNG compression ratios
-over blur temperatures), and ``spectra`` (per-corruption DCT change grids).
+over blur temperatures), ``spectra`` (per-corruption DCT change grids), and
+``study`` (the mollified-vs-baseline robustness comparison over seeds).
 
 ``_COMMANDS`` gives each command but ``ingest`` (which reads no setting)
 its handler and the settings it reads.  Those settings fix the command's
@@ -54,7 +56,9 @@ from .schedules import (
     gamma_noise,
     snr,
 )
-from .synth import standardized_dataset
+from .streams import derive_seed
+from .study import TEST_COUNT, TRAIN_COUNT, aggregate, run_study, texture_splits
+from .synth import fractal_textures, standardized_dataset
 from .trainer import (
     LOSS_KINDS,
     TrainConfig,
@@ -68,6 +72,8 @@ from .trainer import (
 # sigma_max for commands that have no dataset to take a width from.
 DEFAULT_SIGMA_MAX = 32.0
 _SPECTRA_SEVERITY = 3
+# The fractal set's sub-seed tag (study's corruption tag has the same value).
+_TAG_FRACTAL = 103
 
 
 def _field_defaults(cls) -> dict:
@@ -93,8 +99,13 @@ _DEFAULTS: dict = {
     "bins": ECE_BINS,
     "corruptions": False,
     "t_steps": 11,
+    "seeds": [0, 1, 2],
+    "train_count": TRAIN_COUNT,
+    "test_count": TEST_COUNT,
+    "fractal_count": 256,
 }
 
+_COUNTS = ("train_count", "test_count", "fractal_count")
 # The kind (see ioutil.KINDS) a config value must be: by its key where the
 # default is null or the kind is narrower than its type, else by the default's type.
 _KIND_AT = {
@@ -102,6 +113,8 @@ _KIND_AT = {
     "dataset": "a string",
     "schedule.sigma_max": "a finite number",
     "schedule.mode_probs": "a list of finite numbers",
+    "seeds": "a non-empty list of integers in [0, 2**64)",
+    **dict.fromkeys(_COUNTS, "a positive integer"),
 }
 _KIND_OF = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -142,6 +155,9 @@ def _parse_mode_probs(text: str) -> list[float]:
     return [_finite(p) for p in parts]
 
 
+_seeds = _flag_type(
+    _KIND_AT["seeds"], lambda text: [read_int("flag", s, 0, 2**64 - 1) for s in text.split(",")]
+)
 _N = {"type": parse_u64, "metavar": "N"}
 _F = {"type": _finite, "metavar": "F"}
 _BOOL = {"type": _bool, "metavar": "BOOL"}
@@ -159,6 +175,8 @@ _FLAGS = {
     "bins": _N,
     "corruptions": _BOOL,
     "t_steps": _N,
+    "seeds": {"type": _seeds, "metavar": "U64,...", "help": "comma-separated seed list"},
+    **dict.fromkeys(_COUNTS, {"type": parse_positive_int, "metavar": "N"}),
 }
 
 
@@ -268,7 +286,7 @@ def start_run(ns: argparse.Namespace) -> Run:
             s["sigma_max"] = float(dataset.width) if dataset else DEFAULT_SIGMA_MAX
         schedule = ScheduleConfig(**s)
     if "train" in cfg:
-        train_cfg = TrainConfig(schedule=schedule, seed=cfg["seed"], **cfg["train"])
+        train_cfg = TrainConfig(schedule=schedule, seed=cfg.get("seed", 0), **cfg["train"])
     if cfg.get("bins", 1) < 1:
         raise DataError(f"bins must be >= 1, got {cfg['bins']}")
     if cfg.get("bins", 1) > MAX_BINS:
@@ -399,6 +417,26 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------- make-datasets
+
+
+def cmd_make_datasets(ns: argparse.Namespace, run: Run) -> int:
+    """write the study's texture splits and a 1/f fractal set as MOL1 files"""
+    cfg, out = run.cfg, run.out
+    train_ds, test_ds = texture_splits(cfg["seed"], cfg["train_count"], cfg["test_count"])
+    save_mol1(train_ds, out / "textures_train.mol1")
+    save_mol1(test_ds, out / "textures_test.mol1")
+    count = cfg["fractal_count"]
+    fractal = fractal_textures(count, 32, 32, seed=derive_seed(cfg["seed"], _TAG_FRACTAL))
+    labels = np.zeros(count, dtype=np.int64)
+    fractal_ds = standardized_dataset(fractal, labels, 2, provenance=f"fractal seed={cfg['seed']}")
+    save_mol1(fractal_ds, out / "fractal.mol1")
+    print(f"wrote {out}/textures_train.mol1 ({cfg['train_count']} images)")
+    print(f"wrote {out}/textures_test.mol1 ({cfg['test_count']} images)")
+    print(f"wrote {out}/fractal.mol1 ({count} images)")
+    return 0
+
+
 # ---------------------------------------------------------- schedule-dump
 
 
@@ -519,6 +557,36 @@ def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
     return 0
 
 
+# ------------------------------------------------------------------- study
+
+
+def cmd_study(ns: argparse.Namespace, run: Run) -> int:
+    """train and evaluate each arm of study.ARMS over seeds"""
+    cfg = run.cfg
+    results = []
+    print(f"{'seed':>4}  {'arm':<9}  {'clean':>6}  {'corr':>6}  {'ece':>6}  {'nll':>6}")
+    for seed in cfg["seeds"]:
+        result = run_study(seed, cfg["train_count"], cfg["test_count"], run.train.epochs)
+        results.append(result)
+        for arm, reports in result.items():
+            clean, corrupted = reports["clean"], reports["corrupted"]
+            print(
+                f"{seed:>4}  {arm:<9}  {clean['error']:6.3f}  {corrupted['error']:6.3f}"
+                f"  {corrupted['ece']:6.3f}  {corrupted['nll']:6.3f}"
+            )
+    summary = aggregate(results)
+    print()
+    print(f"mean corrupted error: {summary['baseline_corrupted_error']:.3f} -> "
+          f"{summary['mollified_corrupted_error']:.3f} "
+          f"({summary['relative_error_reduction']:.1%} relative reduction)")
+    print(f"mean clean error:     {summary['baseline_clean_error']:.3f} -> "
+          f"{summary['mollified_clean_error']:.3f}")
+    print(f"mean corrupted ECE:   {summary['baseline_corrupted_ece']:.3f} -> "
+          f"{summary['mollified_corrupted_ece']:.3f}")
+    write_json(run.out / "study.json", summary)
+    return 0
+
+
 _SCHEDULE = tuple(f"schedule.{name}" for name in _DEFAULTS["schedule"])
 _TRAIN = tuple(f"train.{name}" for name in _DEFAULTS["train"])
 _SIGMAS = ("schedule.sigma_max", "schedule.sigma_min")
@@ -527,6 +595,7 @@ _SIGMAS = ("schedule.sigma_max", "schedule.sigma_min")
 # They pick the command's flags, and only they go into run.json and the
 # config hash; a shared config file may set the other keys too.
 _COMMANDS = {
+    "make-datasets": (cmd_make_datasets, ("seed", *_COUNTS)),
     "schedule-dump": (
         cmd_schedule_dump, (*_SIGMAS, "schedule.k_noise", "schedule.k_blur", "t_steps")
     ),
@@ -535,6 +604,7 @@ _COMMANDS = {
     "eval": (cmd_eval, ("seed", "dataset", "bins", "corruptions")),
     "infocurve": (cmd_infocurve, ("dataset", *_SIGMAS, "t_steps")),
     "spectra": (cmd_spectra, ("seed", "dataset")),
+    "study": (cmd_study, ("seeds", "train_count", "test_count", "train.epochs")),
 }
 
 

@@ -58,6 +58,9 @@ KINDS = {
     "a list of non-negative integers": (
         lambda v: type(v) is list and all(type(d) is int and d >= 0 for d in v)
     ),
+    "a non-empty list of integers in [0, 2**64)": (
+        lambda v: type(v) is list and v != [] and all(map(KINDS["an integer in [0, 2**64)"], v))
+    ),
 }
 
 

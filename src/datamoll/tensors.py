@@ -31,7 +31,7 @@ STD_FLOOR = 1e-8
 
 def ensure_image(img: np.ndarray) -> np.ndarray:
     """Validate and return ``img`` as a float64 (H, W, C) array."""
-    arr = np.asarray(img, dtype=np.float64)
+    arr = _as_float64(img)
     if arr.ndim != 3:
         raise DataError(f"image must have shape (H, W, C), got shape {arr.shape}")
     if arr.size == 0:

@@ -23,6 +23,7 @@ from datamoll.cli import _DEFAULTS, build_parser, exit_code, main
 from datamoll.metrics import evaluate, read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
+from datamoll.study import aggregate, run_study, texture_splits
 from datamoll.synth import grating_dataset, standardized_dataset
 from datamoll.trainer import MlpParams, load_params, save_params
 
@@ -519,6 +520,94 @@ class TestInfocurveAndSpectra:
         assert not list(out.glob("spectral_*.csv"))
 
 
+class TestMakeDatasetsAndStudy:
+    SMALL_DATA = ["--train-count", "16", "--test-count", "8", "--fractal-count", "4"]
+    SMALL_STUDY = ["--seeds", "0", "--epochs", "1", "--train-count", "64", "--test-count", "32"]
+    # The SHA-256 of each file make-datasets writes at seed 3 and SMALL_DATA; they
+    # hold with and without NumPy's AVX-512 kernels.
+    PINS = {
+        "textures_train.mol1": "7e44390787fb9c178a4c7359455491b96f2665d605841db0768589cf6b2837c0",
+        "textures_train.mol1.json": "b575ffa355e3bde4b91a96d0507de1b3dfbc4a5e008d0d37356f549152e46316",
+        "textures_test.mol1": "98b1cf552c98ab0c97ceae7fc19a11d61ea7841ad121c2c80946c29c6e6a3a51",
+        "textures_test.mol1.json": "3a570fad6f23d8a0a4af879a15b3c07193c373da9ec63b746eb0ee2a1846d238",
+        "fractal.mol1": "cec017ef484c57d175889fb48733a81106106c18fc0d60a85359a523f354157d",
+        "fractal.mol1.json": "2a128919f104d8f96ae4973e727ca0139c5b826f2730d7280398ab2353123367",
+    }
+
+    def test_make_datasets_writes_loadable_containers(self, tmp_path):
+        assert main(["make-datasets", "--out", str(tmp_path), "--seed", "3", *self.SMALL_DATA]) == 0
+        counts = {"textures_train": 16, "textures_test": 8, "fractal": 4}
+        for name, count in counts.items():
+            assert load_mol1(tmp_path / f"{name}.mol1").count == count
+        # The texture splits are the study's own.
+        ds_train, ds_test = texture_splits(3, 16, 8)
+        for ds, name in ((ds_train, "textures_train"), (ds_test, "textures_test")):
+            loaded = load_mol1(tmp_path / f"{name}.mol1")
+            assert np.array_equal(loaded.labels, ds.labels)
+            assert np.array_equal(loaded.images, ds.images.astype(np.float32))
+
+    def test_make_datasets_files_are_pinned(self, tmp_path):
+        assert main(["make-datasets", "--out", str(tmp_path), "--seed", "3", *self.SMALL_DATA]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINS
+        }
+        assert digests == self.PINS
+
+    def test_study_writes_the_aggregate_of_its_seeds(self, tmp_path):
+        assert main(["study", "--out", str(tmp_path), *self.SMALL_STUDY]) == 0
+        summary = json.loads((tmp_path / "study.json").read_text())
+        assert summary == aggregate([run_study(0, 64, 32, 1)])
+
+    def test_study_rejects_an_unwritable_out_before_training(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert main(["study", "--out", str(out), *self.SMALL_STUDY]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert "baseline" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("make-datasets", "--seed", "-1"),
+            ("make-datasets", "--train-count", "0"),
+            ("study", "--seeds", "0,-1"),
+        ],
+    )
+    def test_bad_option_is_a_usage_error_naming_it(self, tmp_path, capsys, command, flag, value):
+        assert main([command, "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config, line",
+        [
+            (["--epochs", "0"], {}, "epochs must be >= 1, got 0"),
+            ([], {"train": {"epochs": 0}}, "epochs must be >= 1, got 0"),
+            (
+                [], {"seeds": []},
+                "config key 'seeds' must be a non-empty list of integers in [0, 2**64), got []",
+            ),
+        ],
+    )
+    def test_bad_study_setting_is_a_data_error_before_run_json(
+        self, tmp_path, capsys, flags, config, line
+    ):
+        out = tmp_path / "out"
+        argv = ["study", "--out", str(out), *flags]
+        assert main(argv + ["--config", _write_config(tmp_path / "c.json", config)]) == 3
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+    def test_failure_is_exit_3_without_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        argv = ["make-datasets", "--out", str(out)]
+        argv += ["--train-count", "4", "--test-count", "4", "--fractal-count", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestRerun:
     def run_all(self, dataset_path, out):
         data, seed = ["--dataset", str(dataset_path)], ["--seed", "4"]
@@ -559,6 +648,8 @@ class TestRunRecord:
         "eval": {"seed", "dataset", "bins", "corruptions"},
         "infocurve": {"dataset", "schedule", "t_steps"},
         "spectra": {"seed", "dataset"},
+        "make-datasets": {"seed", "train_count", "test_count", "fractal_count"},
+        "study": {"seeds", "train_count", "test_count", "train"},
     }
 
     @staticmethod
@@ -566,12 +657,16 @@ class TestRunRecord:
         argv = [command, "--out", str(out)]
         if command == "eval":
             argv.insert(1, str(trained / "params.bin"))
-        if command != "schedule-dump":
+        if command in ("mollify", "train", "eval", "infocurve", "spectra"):
             argv += ["--dataset", str(dataset_path)]
         if command == "train":
             argv += ["--epochs", "1"]
         if command in ("schedule-dump", "infocurve"):
             argv += ["--t-steps", "3"]
+        if command == "make-datasets":
+            argv += TestMakeDatasetsAndStudy.SMALL_DATA
+        if command == "study":
+            argv += TestMakeDatasetsAndStudy.SMALL_STUDY
         return argv
 
     @pytest.mark.parametrize("command", list(EXPECTED_KEYS))
@@ -688,6 +783,8 @@ class TestRunRecord:
         "eval": {"--seed", "--dataset", "--bins", "--corruptions"},
         "infocurve": {"--dataset", "--t-steps"},
         "spectra": {"--seed", "--dataset"},
+        "make-datasets": {"--seed", "--train-count", "--test-count", "--fractal-count"},
+        "study": {"--seeds", "--train-count", "--test-count", "--epochs"},
     }
 
     def test_each_command_takes_the_flags_of_the_settings_it_reads(self):

@@ -173,6 +173,11 @@ KIND_CASES = [
     ("a string", ["", "x"], [None, 1, b"x"]),
     ("a list of finite numbers", [[], [1, 2.5]], [(1.0,), [1, math.nan], [10**400], [True]]),
     ("a list of non-negative integers", [[], [0, 3]], [[-1], [1.0], [True], (1,), [[1]], None]),
+    (
+        "a non-empty list of integers in [0, 2**64)",
+        [[0], [2, 2**64 - 1]],
+        [[], [-1], [2**64], [True], [0.0], (0,), [[0]], None],
+    ),
 ]
 
 

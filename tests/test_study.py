@@ -76,7 +76,7 @@ def test_aggregate_of_one_seed_is_its_own_values(studied):
         result["mollified"]["corrupted"]["error"] / result["baseline"]["corrupted"]["error"]
     )
     assert summary["relative_error_reduction"] == reduction
-    # Every key that criterion 10 and scripts/robustness_study.py read.
+    # Every key that criterion 10 and `datamoll study` read.
     read = {
         f"{arm}_{key}"
         for arm in ("baseline", "mollified")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from datamoll.errors import DataError
-from datamoll.mollifier import heat_blur
+from datamoll.mollifier import heat_blur, noise_image
 from datamoll.synth import standardized_dataset
 from datamoll.tensors import (
     ChannelStats,
@@ -109,7 +109,11 @@ class TestEnsure:
     def test_ragged_images_are_a_data_error_in_every_transform(self):
         # The same error ensure_stack gives, not NumPy's inhomogeneous-shape ValueError.
         images = [np.zeros((4, 4, 1)), np.zeros((4, 3, 1))]
-        for transform in (dct2d, idct2d, lambda x: heat_blur(x, 0.5)):
+        transforms = [
+            dct2d, idct2d, lambda x: heat_blur(x, 0.5), ensure_image,
+            lambda x: noise_image(x, 0.5, np.random.default_rng(0)),
+        ]
+        for transform in transforms:
             with pytest.raises(DataError, match=r"^images must share one \(H, W, C\) shape$"):
                 transform(images)
 
