@@ -423,13 +423,14 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 def cmd_make_datasets(ns: argparse.Namespace, run: Run) -> int:
     """write the study's texture splits and a 1/f fractal set as MOL1 files"""
     cfg, out = run.cfg, run.out
+    # All three datasets before any file, so a failure leaves no .mol1 behind.
     train_ds, test_ds = texture_splits(cfg["seed"], cfg["train_count"], cfg["test_count"])
-    save_mol1(train_ds, out / "textures_train.mol1")
-    save_mol1(test_ds, out / "textures_test.mol1")
     count = cfg["fractal_count"]
     fractal = fractal_textures(count, 32, 32, seed=derive_seed(cfg["seed"], _TAG_FRACTAL))
     labels = np.zeros(count, dtype=np.int64)
     fractal_ds = standardized_dataset(fractal, labels, 2, provenance=f"fractal seed={cfg['seed']}")
+    save_mol1(train_ds, out / "textures_train.mol1")
+    save_mol1(test_ds, out / "textures_test.mol1")
     save_mol1(fractal_ds, out / "fractal.mol1")
     print(f"wrote {out}/textures_train.mol1 ({cfg['train_count']} images)")
     print(f"wrote {out}/textures_test.mol1 ({cfg['test_count']} images)")

@@ -33,17 +33,11 @@ from .streams import row_keys, stream
 from .tensors import dct2d, ensure_image, ensure_image_or_stack, ensure_stack, idct2d
 
 
-def _mix(x: np.ndarray, eps: np.ndarray, alpha, sigma) -> np.ndarray:
-    """The noised image alpha*x + sigma*eps; ``alpha`` and ``sigma`` are scalars,
-    or per-image weights shaped to broadcast over a stack."""
-    return alpha * x + sigma * eps
-
-
 def noise_image(img: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
     """Mix ``img`` with unit Gaussian noise: alpha*img + sigma*eps."""
     img = ensure_image(img)
     alpha, sigma = alpha_sigma(t)
-    return _mix(img, rng.standard_normal(img.shape), alpha, sigma)
+    return alpha * img + sigma * rng.standard_normal(img.shape)
 
 
 @lru_cache(maxsize=64)
@@ -83,6 +77,10 @@ def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:
     return heat_blur(img, dissipation_time(blur_sigma(t, cfg)))
 
 
+# Each row's mode, by its code in mollify_batch.
+_MODES = np.array(["none", "noise", "blur"], dtype="U5")
+
+
 def mollify_batch(
     imgs: np.ndarray | Sequence[np.ndarray], cfg: ScheduleConfig, seed: int
 ) -> np.recarray:
@@ -103,7 +101,7 @@ def mollify_batch(
     images = stack.copy()
     gammas = np.zeros(n)
     temps = np.zeros(n)
-    modes = np.full(n, "none", dtype="U5")
+    codes = np.zeros(n, dtype=np.int8)  # an index into _MODES
     # Row i of eps and weights belongs to the i-th noise row, noisy[i].
     eps = np.empty_like(stack)
     noisy: list[int] = []
@@ -120,14 +118,20 @@ def mollify_batch(
             noisy.append(idx)
             weights.append(alpha_sigma(t))
             gammas[idx] = gamma_noise(t, cfg.k_noise)
-            modes[idx] = "noise"
+            codes[idx] = 1
         else:
             images[idx] = blur_image(stack[idx], t, cfg)
             gammas[idx] = gamma_blur(t, cfg.k_blur)
-            modes[idx] = "blur"
+            codes[idx] = 2
     if noisy:
+        # noise_image's alpha*img + sigma*eps, in place; the sum commutes bit for bit.
         alpha, sigma = (np.array(w)[:, None, None, None] for w in zip(*weights))
-        images[noisy] = _mix(stack[noisy], eps[: len(noisy)], alpha, sigma)
+        mixed, signal = eps[: len(noisy)], stack[noisy]
+        mixed *= sigma
+        signal *= alpha
+        mixed += signal
+        images[noisy] = mixed
+    modes = _MODES[codes]
     fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),
               ("mode", modes.dtype), ("t", np.float64)]
     return np.rec.fromarrays([images, gammas, modes, temps], dtype=fields)

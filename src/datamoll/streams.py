@@ -31,18 +31,26 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 
+# Philox's counter at the start of every stream.  Passed as an array, it
+# skips NumPy's Python-level conversion of the default counter 0, which
+# costs as much as the rest of opening a row's stream.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
 class Key(ISeedSequence):
-    """A row's Philox key, the two uint64 words ``[seed, row]``, handed to
-    ``Philox`` as the answer to ``generate_state(2, np.uint64)``, the only
-    request it makes; any other request is a ValueError."""
+    """A row's Philox key, the two read-only uint64 words ``[seed, row]``,
+    handed to ``Philox`` as the answer to ``generate_state(2, np.uint64)``,
+    the only request it makes; any other request is a ValueError."""
 
     def __init__(self, philox_key: np.ndarray) -> None:
         self.philox_key = philox_key
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        # Philox copies the words into its own state, so they go uncopied.
+        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"a Key answers generate_state(2, np.uint64), not ({n_words}, {dtype})")
-        return self.philox_key.copy()
+        return self.philox_key
 
 
 def row_keys(seed, count) -> list[Key]:
@@ -56,6 +64,7 @@ def row_keys(seed, count) -> list[Key]:
     keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = np.arange(count)
+    keys.setflags(write=False)
     return [Key(key) for key in keys]
 
 
@@ -74,7 +83,7 @@ def stream(seed, *tags: int) -> np.random.Generator:
         seed = _seed_sequence(seed, tags)
     elif tags:
         raise TypeError("a Key takes no tags")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(seed, counter=_ZERO_COUNTER))
 
 
 def derive_seed(seed, *tags: int) -> int:

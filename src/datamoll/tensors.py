@@ -41,7 +41,14 @@ def ensure_image(img: np.ndarray) -> np.ndarray:
     return arr
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_float64(images: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """``np.asarray(images, dtype=np.float64)``; a float64 ndarray, which it
+    would return as is, skips the call."""
+    if type(images) is np.ndarray and images.dtype is _FLOAT64:
+        return images
     try:
         return np.asarray(images, dtype=np.float64)
     except ValueError:

@@ -187,9 +187,10 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
             idx = order[start : start + cfg.batch_size]
             if cfg.mollify:
                 images = dataset.images[idx]
-                samples = np.concatenate([mollify_batch(images, cfg.schedule, k) for k in seeds[batch_no]])
-                x = samples["image"].reshape(len(samples), input_dim)
-                gammas = samples["gamma"]
+                samples = [mollify_batch(images, cfg.schedule, k) for k in seeds[batch_no]]
+                # One contiguous (N, D) batch: the matmuls would copy a strided field view.
+                x = np.concatenate([s["image"] for s in samples]).reshape(-1, input_dim)
+                gammas = np.concatenate([s["gamma"] for s in samples])
                 labels = np.tile(dataset.labels[idx], cfg.samples_per_image)
             else:
                 x = flat[idx]

@@ -599,6 +599,15 @@ class TestMakeDatasetsAndStudy:
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
 
+    def test_a_failing_dataset_leaves_no_mol1_file(self, tmp_path, capsys):
+        # 10**14 fractal images cannot be allocated; NumPy refuses at once.
+        out = tmp_path / "out"
+        argv = ["make-datasets", "--out", str(out), "--train-count", "16", "--test-count", "8"]
+        assert main(argv + ["--fractal-count", "100000000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.glob("*.mol1")) == []
+
     def test_failure_is_exit_3_without_a_traceback(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("a file, not a directory")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datamoll import streams
 from datamoll.streams import derive_seed, row_keys, stream
 
 # Word boundaries of NumPy's uint32 key coercion: 0 is one zero word, 2**32 - 1
@@ -181,3 +182,16 @@ def test_stream_takes_integers_or_one_key():
         stream(5, np.arange(2))
     with pytest.raises(TypeError):
         stream(row_keys(5, 1)[0], 1)
+
+
+def test_a_key_opens_the_same_stream_twice():
+    # A Key hands Philox its words and the shared zero counter uncopied;
+    # neither may change by opening a stream.
+    key = row_keys(2**63 + 1, 4)[3]
+    first, second = stream(key).standard_normal(16), stream(key).standard_normal(16)
+    assert np.array_equal(first, second)
+    assert key.philox_key.tolist() == [2**63 + 1, 3]
+    assert not key.philox_key.flags.writeable
+    assert streams._ZERO_COUNTER.tolist() == [0, 0, 0, 0]
+    assert streams._ZERO_COUNTER.dtype == np.uint64
+    assert not streams._ZERO_COUNTER.flags.writeable

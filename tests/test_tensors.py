@@ -12,6 +12,7 @@ from datamoll.tensors import (
     compute_channel_stats,
     dct2d,
     ensure_image,
+    ensure_image_or_stack,
     ensure_stack,
     idct2d,
 )
@@ -105,6 +106,19 @@ class TestEnsure:
             ensure_image(img)
         with pytest.raises(DataError, match="^images contain non-finite values$"):
             ensure_stack(stack)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (2, 5, 4, 3)], ids=["image", "stack"])
+    def test_only_an_input_that_is_not_a_float64_array_is_converted(self, shape):
+        arr = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        ragged = [arr[..., :1].tolist(), arr[..., :2].tolist()]
+        for ensure in [ensure_image_or_stack] + ([ensure_image] if arr.ndim == 3 else []):
+            assert ensure(arr) is arr
+            for other in (arr.tolist(), arr.astype(np.float32), arr.astype(np.int64)):
+                out = ensure(other)
+                assert type(out) is np.ndarray and out.dtype == np.float64
+                assert np.array_equal(out, arr)
+            with pytest.raises(DataError, match=r"^images must share one \(H, W, C\) shape$"):
+                ensure(ragged)
 
     def test_ragged_images_are_a_data_error_in_every_transform(self):
         # The same error ensure_stack gives, not NumPy's inhomogeneous-shape ValueError.
