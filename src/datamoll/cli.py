@@ -57,23 +57,19 @@ from .schedules import (
     snr,
 )
 from .streams import derive_seed
-from .study import TEST_COUNT, TRAIN_COUNT, aggregate, run_study, texture_splits
+from .study import ARMS, TEST_COUNT, TRAIN_COUNT, WIDTH, StudyResult, aggregate, texture_splits
 from .synth import fractal_textures, standardized_dataset
 from .trainer import (
-    LOSS_KINDS,
-    TrainConfig,
-    load_params,
-    predict_batch,
-    predict_records,
-    save_params,
+    LOSS_KINDS, MlpParams, TrainConfig, load_params, predict_batch, predict_records, save_params,
     train,
 )
 
 # sigma_max for commands that have no dataset to take a width from.
 DEFAULT_SIGMA_MAX = 32.0
+MAX_T_STEPS = 2**53  # the most temperature grid points whose indices float64 holds exactly
 _SPECTRA_SEVERITY = 3
-# The fractal set's sub-seed tag (study's corruption tag has the same value).
-_TAG_FRACTAL = 103
+# Sub-seed tags of the fractal set and the study's corruption grid; no run draws both.
+_TAG_FRACTAL = _TAG_CORRUPTIONS = 103
 
 
 def _field_defaults(cls) -> dict:
@@ -294,6 +290,8 @@ def start_run(ns: argparse.Namespace) -> Run:
     if "t_steps" in cfg:
         if cfg["t_steps"] < 2:
             raise DataError(f"t_steps must be >= 2, got {cfg['t_steps']}")
+        if cfg["t_steps"] > MAX_T_STEPS:
+            raise DataError(f"t_steps must be <= 2**53, got {cfg['t_steps']}")
         t_grid = [float(t) for t in np.linspace(0.0, 1.0, cfg["t_steps"])]
     run = Run(
         Path(ns.out), cfg, config_hash(cfg, ns.command, digest), dataset, schedule, train_cfg, t_grid
@@ -501,18 +499,26 @@ def cmd_train(ns: argparse.Namespace, run: Run) -> int:
 # -------------------------------------------------------------------- eval
 
 
+def evaluate_model(
+    params: MlpParams, dataset: Mol1Dataset, cells, num_bins: int = ECE_BINS
+) -> tuple[np.recarray, dict[str, dict]]:
+    """Records of ``params`` on ``dataset`` (tag ``clean``), then on each ``(tag, images)``
+    cell, and their reports: ``clean``, plus ``corrupted`` over all cells if there are any."""
+    records = [predict_batch(params, dataset, tag="clean")]
+    reports = {"clean": evaluate(records[0], num_bins=num_bins)}
+    records += [predict_records(params, batch, dataset.labels, tag=tag) for tag, batch in cells]
+    if len(records) > 1:
+        reports["corrupted"] = evaluate(np.concatenate(records[1:]), num_bins=num_bins)
+    return np.concatenate(records), reports
+
+
 def cmd_eval(ns: argparse.Namespace, run: Run) -> int:
     """evaluate a trained model"""
     dataset, cfg = run.dataset, run.cfg
     params, _header = load_params(ns.params)
-    bins = cfg["bins"]
-    records = [predict_batch(params, dataset, tag="clean")]
-    reports = {"clean": evaluate(records[0], num_bins=bins)}
-    if cfg["corruptions"]:
-        for tag, batch in corruption_grid(dataset.images, cfg["seed"]):
-            records.append(predict_records(params, batch, dataset.labels, tag=tag))
-        reports["corrupted"] = evaluate(np.concatenate(records[1:]), num_bins=bins)
-    write_records_csv(np.concatenate(records), run.out / "records.csv")
+    cells = corruption_grid(dataset.images, cfg["seed"]) if cfg["corruptions"] else ()
+    records, reports = evaluate_model(params, dataset, cells, cfg["bins"])
+    write_records_csv(records, run.out / "records.csv")
     payload = {"config_hash": run.config_hash, "seed": cfg["seed"], **reports}
     write_json(run.out / "eval.json", payload)
     titles = {"clean": "clean", "corrupted": "corrupted(all)"}
@@ -561,6 +567,22 @@ def cmd_spectra(ns: argparse.Namespace, run: Run) -> int:
 # ------------------------------------------------------------------- study
 
 
+def run_study(
+    seed: int, train_count: int = TRAIN_COUNT, test_count: int = TEST_COUNT,
+    epochs: int = TrainConfig.epochs,
+) -> StudyResult:
+    """Train one model per arm of ``study.ARMS``; evaluate each on one shared corruption grid."""
+    ds_train, ds_test = texture_splits(seed, train_count, test_count)
+    schedule = ScheduleConfig.for_width(WIDTH)
+    cells = list(corruption_grid(ds_test.images, derive_seed(seed, _TAG_CORRUPTIONS)))
+    result = {}
+    for arm, settings in ARMS.items():
+        cfg = TrainConfig(schedule=schedule, epochs=epochs, seed=seed, **settings)
+        params, _report = train(ds_train, cfg)
+        result[arm] = evaluate_model(params, ds_test, cells)[1]
+    return result
+
+
 def cmd_study(ns: argparse.Namespace, run: Run) -> int:
     """train and evaluate each arm of study.ARMS over seeds"""
     cfg = run.cfg
@@ -576,10 +598,11 @@ def cmd_study(ns: argparse.Namespace, run: Run) -> int:
                 f"  {corrupted['ece']:6.3f}  {corrupted['nll']:6.3f}"
             )
     summary = aggregate(results)
+    reduction = summary["relative_error_reduction"]
     print()
     print(f"mean corrupted error: {summary['baseline_corrupted_error']:.3f} -> "
           f"{summary['mollified_corrupted_error']:.3f} "
-          f"({summary['relative_error_reduction']:.1%} relative reduction)")
+          f"({'n/a' if reduction is None else f'{reduction:.1%}'} relative reduction)")
     print(f"mean clean error:     {summary['baseline_clean_error']:.3f} -> "
           f"{summary['mollified_clean_error']:.3f}")
     print(f"mean corrupted ECE:   {summary['baseline_corrupted_ece']:.3f} -> "

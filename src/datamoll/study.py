@@ -1,29 +1,23 @@
-"""Desk-scale robustness study: mollified training against a clean baseline.
+"""Desk-scale robustness study data: mollified training against a clean baseline.
 
-Builds a seeded multi-scale texture classification problem, trains the same
-network once per arm of ``ARMS``, and evaluates each model on the clean test
-split and on the full 4-corruption x 5-severity grid.  The quantities of
-interest are the relative corrupted-error reduction, the clean-error change,
-and the corrupted calibration error.
+The seeded texture splits, the ``TrainConfig`` settings of each arm, and the
+across-seed summary of the reports that ``cli.run_study`` gives each arm: the
+relative corrupted-error reduction, the clean-error change, and the
+corrupted calibration error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import corruption_grid
-from .metrics import evaluate
 from .mol1 import Mol1Dataset
-from .schedules import ScheduleConfig
 from .streams import derive_seed
 from .synth import grating_dataset, standardized_dataset
 from .tensors import compute_channel_stats
-from .trainer import TrainConfig, predict_batch, predict_records, train
 
-# Sub-seed tags for the independent random choices of one study.
+# Sub-seed tags of the study's data (its corruption grid's is cli._TAG_CORRUPTIONS).
 _TAG_TRAIN_DATA = 101
 _TAG_TEST_DATA = 102
-_TAG_CORRUPTIONS = 103
 
 # The study's images: 16x16 pixels, 4 classes, 4096 to train on and 1024 to test.
 HEIGHT = WIDTH = 16
@@ -62,35 +56,17 @@ def texture_splits(
     return ds_train, ds_test
 
 
-def run_study(
-    seed: int, train_count: int = TRAIN_COUNT, test_count: int = TEST_COUNT,
-    epochs: int = TrainConfig.epochs,
-) -> StudyResult:
-    """Train one model per arm of ``ARMS`` and evaluate it clean and on the corruption grid."""
-    ds_train, ds_test = texture_splits(seed, train_count, test_count)
-    schedule = ScheduleConfig.for_width(WIDTH)
-    cells = list(corruption_grid(ds_test.images, derive_seed(seed, _TAG_CORRUPTIONS)))
-    result = {}
-    for arm, settings in ARMS.items():
-        cfg = TrainConfig(schedule=schedule, epochs=epochs, seed=seed, **settings)
-        params, _report = train(ds_train, cfg)
-        corrupted = [predict_records(params, batch, ds_test.labels, tag=tag) for tag, batch in cells]
-        result[arm] = {
-            "clean": evaluate(predict_batch(params, ds_test, tag="clean")),
-            "corrupted": evaluate(np.concatenate(corrupted)),
-        }
-    return result
-
-
-def aggregate(results: list[StudyResult]) -> dict[str, float]:
-    """Across-seed means of each arm's metrics on each split, plus the error reduction."""
+def aggregate(results: list[StudyResult]) -> dict[str, float | None]:
+    """Across-seed means of each arm's metrics on each split, plus the error reduction,
+    which is None when the baseline's mean corrupted error is 0."""
     summary = {
         f"{arm}_{split}_{metric}": float(np.mean([r[arm][split][metric] for r in results]))
         for arm in ARMS
         for split in ("clean", "corrupted")
         for metric in ("error", "ece", "nll")
     }
+    baseline = summary["baseline_corrupted_error"]
     summary["relative_error_reduction"] = (
-        1.0 - summary["mollified_corrupted_error"] / summary["baseline_corrupted_error"]
+        1.0 - summary["mollified_corrupted_error"] / baseline if baseline else None
     )
     return summary

@@ -18,6 +18,7 @@ from datamoll.analysis import (
     info_curve,
     spectral_delta,
 )
+from datamoll.cli import run_study
 from datamoll.labels import dirichlet_log_density
 from datamoll.likelihood import log_normalizer_Z, mc_log_marginal
 from datamoll.metrics import ece, predictions
@@ -25,7 +26,7 @@ from datamoll.mol1 import save_mol1
 from datamoll.mollifier import heat_blur
 from datamoll.schedules import ScheduleConfig, alpha_sigma, blur_sigma, gamma_noise
 from datamoll.streams import stream
-from datamoll.study import aggregate, run_study
+from datamoll.study import aggregate
 from datamoll.synth import fractal_textures, grating_dataset, standardized_dataset
 from datamoll.tensors import compute_channel_stats, dct2d, idct2d
 from datamoll.trainer import MlpParams, loss_and_grad

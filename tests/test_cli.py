@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import datamoll
-from datamoll.cli import _DEFAULTS, build_parser, exit_code, main
-from datamoll.metrics import evaluate, read_records_csv
+from datamoll.cli import _DEFAULTS, build_parser, exit_code, main, run_study
+from datamoll.metrics import evaluate, format_report_table, read_records_csv
 from datamoll.mol1 import load_mol1, save_mol1
 from datamoll.schedules import ScheduleConfig, blur_sigma, gamma_noise, snr
-from datamoll.study import aggregate, run_study, texture_splits
+from datamoll.study import ARMS, aggregate, texture_splits
 from datamoll.synth import grating_dataset, standardized_dataset
 from datamoll.trainer import MlpParams, load_params, save_params
 
@@ -353,6 +353,26 @@ class TestScheduleDump:
         assert len(meta["config_hash"]) == 64
         assert "numpy" in meta["versions"]
 
+    # Near 2**63 np.linspace fails at once with an IndexError; the bound is
+    # checked before it runs, so nothing is allocated.
+    @pytest.mark.parametrize("command", ["schedule-dump", "infocurve"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_t_steps_past_2_53_rejected_before_the_run_starts(
+        self, dataset_path, tmp_path, capsys, command, source
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out)]
+        if command == "infocurve":
+            argv += ["--dataset", str(dataset_path)]
+        if source == "flag":
+            argv += ["--t-steps", str(2**63 - 1)]
+        else:
+            argv += ["--config", _write_config(tmp_path / "c.json", {"t_steps": 10**400})]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_steps must be <= 2**53, got ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestMollify:
     def test_forced_none_preserves_images(self, dataset_path, tmp_path):
@@ -443,6 +463,17 @@ class TestTrainEvalPipeline:
         assert len(records) == 48 * 21
         table = (out / "eval.txt").read_text()
         assert "clean" in table and "gauss_blur-5" in table
+
+    def test_eval_without_corruptions_reports_only_clean(self, trained, dataset_path, tmp_path):
+        out = tmp_path / "eval"
+        argv = ["eval", str(trained / "params.bin"), "--dataset", str(dataset_path)]
+        assert main([*argv, "--out", str(out)]) == 0
+        payload = json.loads((out / "eval.json").read_text())
+        assert set(payload) == {"config_hash", "seed", "clean"}
+        records = read_records_csv(out / "records.csv")
+        assert len(records) == 48 and set(records["tag"]) == {"clean"}
+        assert payload["clean"] == evaluate(records)
+        assert (out / "eval.txt").read_text() == format_report_table(payload["clean"], "clean")
 
     def test_eval_json_is_evaluate_of_its_records(self, trained, dataset_path, tmp_path):
         out = tmp_path / "eval"
@@ -557,6 +588,17 @@ class TestMakeDatasetsAndStudy:
         assert main(["study", "--out", str(tmp_path), *self.SMALL_STUDY]) == 0
         summary = json.loads((tmp_path / "study.json").read_text())
         assert summary == aggregate([run_study(0, 64, 32, 1)])
+
+    def test_study_with_an_errorless_baseline_writes_no_reduction(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        report = {"error": 0.0, "nll": 0.01, "ece": 0.01, "count": 32}
+        result = {arm: {"clean": report, "corrupted": report} for arm in ARMS}
+        monkeypatch.setattr("datamoll.cli.run_study", lambda *args: result)
+        assert main(["study", "--out", str(tmp_path), *self.SMALL_STUDY]) == 0
+        text = (tmp_path / "study.json").read_text()
+        assert "NaN" not in text and json.loads(text)["relative_error_reduction"] is None
+        assert "(n/a relative reduction)" in capsys.readouterr().out
 
     def test_study_rejects_an_unwritable_out_before_training(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from datamoll import study
+from datamoll import cli, study
 from datamoll.analysis import corruption_grid
 from datamoll.metrics import evaluate
 from datamoll.schedules import ScheduleConfig
@@ -24,16 +24,16 @@ def studied():
         trained.append((cfg, params))
         return params, report
 
-    mp.setattr(study, "train", recording_train)
+    mp.setattr(cli, "train", recording_train)
     try:
-        result = study.run_study(SEED, TRAIN_COUNT, TEST_COUNT, EPOCHS)
+        result = cli.run_study(SEED, TRAIN_COUNT, TEST_COUNT, EPOCHS)
     finally:
         mp.undo()
     return result, dict(zip(study.ARMS, trained))
 
 
 def _reports(params, ds_test):
-    cells = corruption_grid(ds_test.images, derive_seed(SEED, study._TAG_CORRUPTIONS))
+    cells = corruption_grid(ds_test.images, derive_seed(SEED, cli._TAG_CORRUPTIONS))
     corrupted = [predict_records(params, batch, ds_test.labels, tag=tag) for tag, batch in cells]
     return {
         "clean": evaluate(predict_batch(params, ds_test, tag="clean")),
@@ -83,3 +83,10 @@ def test_aggregate_of_one_seed_is_its_own_values(studied):
         for key in ("clean_error", "corrupted_error", "corrupted_ece", "corrupted_nll")
     }
     assert read | {"relative_error_reduction"} <= set(summary)
+
+
+def test_aggregate_has_no_reduction_when_the_baseline_makes_no_corrupted_error():
+    report = {"error": 0.0, "nll": 0.01, "ece": 0.01, "count": 32}
+    summary = study.aggregate([{arm: {"clean": report, "corrupted": report} for arm in study.ARMS}])
+    assert summary["baseline_corrupted_error"] == 0.0
+    assert summary["relative_error_reduction"] is None
