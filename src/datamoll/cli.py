@@ -216,7 +216,13 @@ def _check_config(value, default, path: str):
     if value is None and default is None:
         return None
     kind = _KIND_AT.get(path) or _KIND_OF[type(default)]
-    return check_value(f"config key {path!r}", value, kind)
+    value = check_value(f"config key {path!r}", value, kind)
+    # A float setting's integer is recorded as its flag's float: one value, one config hash.
+    if kind == "a finite number":
+        return float(value)
+    if kind == "a list of finite numbers":
+        return [float(v) for v in value]
+    return value
 
 
 def effective_config(ns: argparse.Namespace) -> dict:

@@ -1,9 +1,17 @@
-"""Log-space likelihood machinery for soft labels.
+"""Soft labels and their log-space likelihoods.
 
-Provides the normalizing constant Z that turns the smoothed-label score
-into a proper density over smoothing levels, its gradient, and three
-Monte-Carlo estimators of a per-example log marginal likelihood from K
-per-augmentation samples:
+A soft label is a plain (N, C) float array.  Tempering scales the
+true-class entry down by (1 - gamma) and leaves the rest at zero;
+smoothing moves the removed mass onto the uniform distribution instead.
+At gamma = 0 both are the one-hot label.  ``dirichlet_log_density``
+scores a prediction under Dir(1 + y), whose mode is the smoothed label
+itself: the reason smoothing, unlike tempering, rewards non-peaky
+predictions.
+
+The rest is the normalizing constant Z that turns the smoothed-label
+score into a proper density over smoothing levels, its gradient, and
+three Monte-Carlo estimators of a per-example log marginal likelihood
+from K per-augmentation samples:
 
 * ``naive``      log of the sample mean of the likelihoods,
 * ``jensen``     mean of the log-likelihoods (a lower bound; equivalently
@@ -31,6 +39,37 @@ from scipy.special import logsumexp
 _DEGENERATE_GAP = 1e-12
 # Wider guard for the gradient series, where first derivatives matter.
 _SERIES_GAP = 1e-6
+
+
+def soft_labels(
+    classes: np.ndarray, gammas: np.ndarray, num_classes: int, smoothed: bool = True
+) -> np.ndarray:
+    """One label row per (class, gamma) pair: smoothed, or tempered if not ``smoothed``."""
+    y = np.zeros((classes.shape[0], num_classes))
+    y[np.arange(classes.shape[0]), classes] = 1.0
+    y *= (1.0 - gammas)[:, None]
+    if smoothed:
+        y += (gammas / num_classes)[:, None]
+    return y
+
+
+def dirichlet_log_density(f: np.ndarray, y: np.ndarray) -> float:
+    """log Dir(f | 1 + y) = sum_c y_c log f_c - log B(1 + y), in nats.
+
+    B is the multivariate Beta function of the full concentration vector
+    1 + y, evaluated through log-Gamma.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or f.shape != y.shape:
+        raise ValueError(f"prediction shape {f.shape} does not match label vector {y.shape}")
+    if np.any(f <= 0):
+        raise ValueError("prediction entries must be strictly positive")
+    if abs(f.sum() - 1.0) > 1e-9:
+        raise ValueError(f"prediction entries must sum to 1, got {f.sum()!r}")
+    conc = 1.0 + y
+    log_b = sum(math.lgamma(a) for a in conc) - math.lgamma(float(conc.sum()))
+    return float(np.dot(y, np.log(f)) - log_b)
 
 
 def _as_logp(logp: np.ndarray) -> np.ndarray:

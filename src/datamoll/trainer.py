@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DataError, TrainingDivergedError
 from .ioutil import check_value, read_json_object, write_bytes
-from .labels import soft_labels
-from .likelihood import log_normalizer_Z, log_normalizer_grad
+from .likelihood import log_normalizer_Z, log_normalizer_grad, soft_labels
 from .metrics import predictions
 from .mol1 import Mol1Dataset
 from .mollifier import mollify_batch
@@ -174,20 +173,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
         order = stream(cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
         lr = cosine_lr(epoch, cfg)
         losses = []
-        starts = range(0, n, cfg.batch_size)
-        if cfg.mollify:
-            # Every batch's mollifier seeds, before the batch loop: a call
-            # between two mollify_batch calls runs cold, several times slower.
-            reps = range(cfg.samples_per_image)
-            seeds = [
-                [derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep) for rep in reps]
-                for batch_no in range(len(starts))
-            ]
-        for batch_no, start in enumerate(starts):
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             if cfg.mollify:
                 images = dataset.images[idx]
-                samples = [mollify_batch(images, cfg.schedule, k) for k in seeds[batch_no]]
+                samples = []
+                for rep in range(cfg.samples_per_image):
+                    seed = derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
+                    samples.append(mollify_batch(images, cfg.schedule, seed))
                 # One contiguous (N, D) batch: the matmuls would copy a strided field view.
                 x = np.concatenate([s["image"] for s in samples]).reshape(-1, input_dim)
                 gammas = np.concatenate([s["gamma"] for s in samples])

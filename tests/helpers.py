@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from datamoll.labels import soft_labels
+from datamoll.likelihood import soft_labels
 
 
 def label(cls, num_classes, gamma=0.0, smoothed=True):

@@ -19,8 +19,7 @@ from datamoll.analysis import (
     spectral_delta,
 )
 from datamoll.cli import run_study
-from datamoll.labels import dirichlet_log_density
-from datamoll.likelihood import log_normalizer_Z, mc_log_marginal
+from datamoll.likelihood import dirichlet_log_density, log_normalizer_Z, mc_log_marginal
 from datamoll.metrics import ece, predictions
 from datamoll.mol1 import save_mol1
 from datamoll.mollifier import heat_blur

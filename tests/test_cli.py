@@ -614,6 +614,7 @@ class TestMakeDatasetsAndStudy:
             ("make-datasets", "--seed", "-1"),
             ("make-datasets", "--train-count", "0"),
             ("study", "--seeds", "0,-1"),
+            ("mollify", "--mode-probs", "0.5,0.5"),
         ],
     )
     def test_bad_option_is_a_usage_error_naming_it(self, tmp_path, capsys, command, flag, value):
@@ -908,6 +909,35 @@ class TestConfigAndErrors:
             )
         assert code == 4
 
+    def test_exploding_weights_are_exit_4_and_one_line(self, dataset_path, tmp_path, capsys):
+        # The loss of batch 0 is finite; the step it takes is not.
+        argv = ["train", "--dataset", str(dataset_path), "--out", str(tmp_path / "d")]
+        assert main(argv + ["--lr", "1e308", "--mollify", "false", "--epochs", "1"]) == 4
+        assert capsys.readouterr().err == "error: non-finite parameters at epoch 0, batch 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, config, line",
+        [
+            (["train"], None, "this command needs --dataset (or a dataset entry in the config)"),
+            (["schedule-dump", "--t-steps", "1"], None, "t_steps must be >= 2, got 1"),
+            (["schedule-dump", "--config", "missing.json"], None,
+             "config file missing.json does not exist"),
+            (["train", "--dataset", "DATA"], {"train": {"loss": "bogus"}},
+             "loss must be one of ('smoothed', 'tempered', 'normalized'), got 'bogus'"),
+        ],
+    )
+    def test_bad_setting_is_one_error_line_before_run_json(
+        self, dataset_path, tmp_path, capsys, monkeypatch, argv, config, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o"
+        argv = [str(dataset_path) if a == "DATA" else a for a in argv] + ["--out", str(out)]
+        if config is not None:
+            argv += ["--config", _write_config(tmp_path / "c.json", config)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (out / "run.json").exists()
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -1089,6 +1119,18 @@ class TestConfigSchema:
         meta = json.loads((out / "run.json").read_text())
         assert meta["config"]["schedule"]["k_noise"] == 2
         assert meta["config"]["schedule"]["sigma_max"] == 16
+
+    def test_a_float_setting_given_as_an_integer_is_recorded_as_its_flag_gives_it(
+        self, dataset_path, tmp_path
+    ):
+        config = {"schedule": {"k_noise": 2, "mode_probs": [1, 0, 0]}, "train": {"lr": 1}}
+        common = ["train", "--dataset", str(dataset_path), "--epochs", "1"]
+        config_path = _write_config(tmp_path / "c.json", config)
+        assert main(common + ["--out", str(tmp_path / "c"), "--config", config_path]) == 0
+        flags = ["--k-noise", "2", "--lr", "1", "--mode-probs", "1,0,0"]
+        assert main(common + ["--out", str(tmp_path / "f"), *flags]) == 0
+        for name in ("run.json", "params.bin"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
 
     def test_defaults_follow_the_config_dataclasses(self):
         from datamoll.schedules import ScheduleConfig

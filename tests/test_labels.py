@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from datamoll.labels import dirichlet_log_density, soft_labels
+from datamoll.likelihood import dirichlet_log_density, soft_labels
 from tests.helpers import label
 
 

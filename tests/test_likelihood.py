@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from datamoll.likelihood import log_normalizer_Z, log_normalizer_grad, mc_log_marginal
+from datamoll.likelihood import _log_exprel, log_normalizer_Z, log_normalizer_grad, mc_log_marginal
 from datamoll.trainer import MlpParams, loss_and_grad
 from tests.helpers import label
 from tests.oracles import normalizer_quadrature
@@ -128,6 +128,18 @@ class TestNormalizer:
         lp = np.array([math.log1p(-1e-12), -900.0, -950.0])
         val = log_normalizer_Z(lp)
         assert math.isfinite(val)
+
+    def test_log_exprel_is_continuous_across_its_large_argument_branch(self):
+        # Above 700, expm1 would overflow; log((e^x - 1) / x) is then x - log(x).
+        x = np.array([699.999999, 700.0, 700.000001])
+        expected = [v - math.log(v) for v in x]
+        assert _log_exprel(x).tolist() == approx(expected, rel=1e-15)
+
+    def test_log_gap_past_700_stays_finite(self):
+        # log K - log f_j is +-750 here, so one term takes the large-argument branch.
+        val = log_normalizer_Z([0.0, -1500.0])
+        assert math.isfinite(val)
+        assert val == approx(-6.6200732, rel=1e-7)
 
     def test_rejects_infinite_logp(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 
 from datamoll import mollifier, trainer
 from datamoll.errors import DataError, TrainingDivergedError
-from datamoll.labels import soft_labels
+from datamoll.likelihood import soft_labels
 from datamoll.mol1 import Mol1Dataset
 from datamoll.mollifier import mollify_batch
 from datamoll.schedules import ScheduleConfig
