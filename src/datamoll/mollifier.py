@@ -9,14 +9,15 @@ temperature from the Beta prior, and attaches the matching label-decay
 weight.  All per-image randomness derives from (seed, image index), so
 outcomes do not depend on processing order: image ``i`` draws its mode,
 then its temperature, then its noise from one generator keyed by the Philox
-key ``[seed, i]`` (:func:`streams.row_keys`).
+key ``[seed, i]`` (:func:`streams.row_keys`).  :func:`mollify_coeffs` draws
+the same rows in DCT coordinates, where a blur is one multiply.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,6 +82,66 @@ def blur_image(img: np.ndarray, t: float, cfg: ScheduleConfig) -> np.ndarray:
 _MODES = np.array(["none", "noise", "blur"], dtype="U5")
 
 
+class _Rows(NamedTuple):
+    """A batch's row draws: per row its gamma, temperature and mode code; the
+    noise rows with their noise and their mixing weights, each a (k, 1, 1, 1)
+    column; the blur rows."""
+
+    gammas: np.ndarray
+    temps: np.ndarray
+    codes: np.ndarray
+    noisy: list[int]
+    eps: np.ndarray
+    alpha: np.ndarray
+    sigma: np.ndarray
+    blurred: list[int]
+
+
+def _draw_rows(stack: np.ndarray, cfg: ScheduleConfig, seed: int) -> _Rows:
+    """Draw each row of a ``(B, H, W, C)`` batch from its stream ``[seed, i]``:
+    the mode's uniform, then, unless the mode is none, the temperature, then,
+    for a noise row, its noise."""
+    n = stack.shape[0]
+    gammas = np.zeros(n)
+    temps = np.zeros(n)
+    codes = np.zeros(n, dtype=np.int8)  # an index into _MODES
+    # Row k of eps, alpha and sigma belongs to the k-th noise row, noisy[k].
+    eps = np.empty_like(stack)
+    alpha = np.zeros(n)
+    sigma = np.zeros(n)
+    noisy: list[int] = []
+    blurred: list[int] = []
+    p_none, p_noise, _ = cfg.mode_probs
+    for idx, key in enumerate(row_keys(seed, n)):
+        rng = stream(key)
+        u = rng.random()
+        if u < p_none:
+            continue
+        t = temps[idx] = sample_temperature(rng, cfg)
+        if u < p_none + p_noise:
+            rng.standard_normal(out=eps[len(noisy)])
+            alpha[len(noisy)], sigma[len(noisy)] = alpha_sigma(t)
+            noisy.append(idx)
+            gammas[idx] = gamma_noise(t, cfg.k_noise)
+            codes[idx] = 1
+        else:
+            blurred.append(idx)
+            gammas[idx] = gamma_blur(t, cfg.k_blur)
+            codes[idx] = 2
+    k = len(noisy)
+    return _Rows(gammas, temps, codes, noisy, eps[:k], alpha[:k, None, None, None],
+                 sigma[:k, None, None, None], blurred)
+
+
+def _mix(rows: _Rows, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``noise_image``'s alpha*signal + sigma*noise for the noise rows, in place in
+    both arrays; the sum commutes bit for bit."""
+    noise *= rows.sigma
+    signal *= rows.alpha
+    noise += signal
+    return noise
+
+
 def mollify_batch(
     imgs: np.ndarray | Sequence[np.ndarray], cfg: ScheduleConfig, seed: int
 ) -> np.recarray:
@@ -97,41 +158,37 @@ def mollify_batch(
     one step and its blur rows blurred one by one.
     """
     stack = ensure_stack(imgs)
-    n = stack.shape[0]
     images = stack.copy()
-    gammas = np.zeros(n)
-    temps = np.zeros(n)
-    codes = np.zeros(n, dtype=np.int8)  # an index into _MODES
-    # Row i of eps and weights belongs to the i-th noise row, noisy[i].
-    eps = np.empty_like(stack)
-    noisy: list[int] = []
-    weights: list[tuple[float, float]] = []
-    p_none, p_noise, _ = cfg.mode_probs
-    for idx, key in enumerate(row_keys(seed, n)):
-        rng = stream(key)
-        u = rng.random()
-        if u < p_none:
-            continue
-        t = temps[idx] = sample_temperature(rng, cfg)
-        if u < p_none + p_noise:
-            rng.standard_normal(out=eps[len(noisy)])
-            noisy.append(idx)
-            weights.append(alpha_sigma(t))
-            gammas[idx] = gamma_noise(t, cfg.k_noise)
-            codes[idx] = 1
-        else:
-            images[idx] = blur_image(stack[idx], t, cfg)
-            gammas[idx] = gamma_blur(t, cfg.k_blur)
-            codes[idx] = 2
-    if noisy:
-        # noise_image's alpha*img + sigma*eps, in place; the sum commutes bit for bit.
-        alpha, sigma = (np.array(w)[:, None, None, None] for w in zip(*weights))
-        mixed, signal = eps[: len(noisy)], stack[noisy]
-        mixed *= sigma
-        signal *= alpha
-        mixed += signal
-        images[noisy] = mixed
-    modes = _MODES[codes]
+    rows = _draw_rows(stack, cfg, seed)
+    for idx in rows.blurred:
+        images[idx] = blur_image(stack[idx], rows.temps[idx], cfg)
+    if rows.noisy:
+        images[rows.noisy] = _mix(rows, stack[rows.noisy], rows.eps)
+    modes = _MODES[rows.codes]
     fields = [("image", np.float64, stack.shape[1:]), ("gamma", np.float64),
               ("mode", modes.dtype), ("t", np.float64)]
-    return np.rec.fromarrays([images, gammas, modes, temps], dtype=fields)
+    return np.rec.fromarrays([images, rows.gammas, modes, rows.temps], dtype=fields)
+
+
+def mollify_coeffs(
+    coeffs: np.ndarray, cfg: ScheduleConfig, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mollify_batch` in DCT coordinates: the mollified coefficients and
+    the gammas of the rows of ``coeffs``, the :func:`dct2d` of a ``(B, H, W, C)`` stack.
+
+    Rows draw what :func:`mollify_batch`'s rows draw, so the coefficients equal
+    ``dct2d(mollify_batch(imgs, cfg, seed).image)`` up to roundoff and the
+    gammas are its gammas bit for bit.  The orthonormal DCT makes a blur row
+    one multiply by :func:`heat_multipliers`, and the noise rows
+    ``alpha*coeffs + sigma*dct2d(eps)``, with one transform of the batch's noise.
+    """
+    stack = ensure_stack(coeffs)
+    out = stack.copy()
+    rows = _draw_rows(stack, cfg, seed)
+    height, width = stack.shape[1:3]
+    for idx in rows.blurred:
+        tau = dissipation_time(blur_sigma(rows.temps[idx], cfg))
+        out[idx] *= heat_multipliers(height, width, tau)[:, :, None]
+    if rows.noisy:
+        out[rows.noisy] = _mix(rows, stack[rows.noisy], dct2d(rows.eps))
+    return out, rows.gammas

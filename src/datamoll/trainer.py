@@ -4,6 +4,10 @@ One hidden ReLU layer, log-softmax output, plain SGD under a cosine
 annealing learning-rate schedule.  With mollification enabled, every
 mini-batch is independently noised/blurred per image and the labels are
 degraded with the matching schedule weight before the gradient step.
+A mollified run trains in orthonormal DCT coordinates, where a blur is one
+multiply: the inputs x' = D x and the first layer's weights W1' = W1 D^T
+give W1' x' = W1 x, so SGD on W1' is SGD on W1 in exact arithmetic, and
+the returned weights are back in pixel space.
 Training is bit-reproducible for a fixed seed: shuffling, initialization,
 and per-batch mollification all derive from disjoint Philox streams.
 """
@@ -23,9 +27,10 @@ from .ioutil import check_value, read_json_object, write_bytes
 from .likelihood import log_normalizer_Z, log_normalizer_grad, soft_labels
 from .metrics import predictions
 from .mol1 import Mol1Dataset
-from .mollifier import mollify_batch
+from .mollifier import mollify_coeffs
 from .schedules import ScheduleConfig
 from .streams import derive_seed, stream
+from .tensors import dct2d, idct2d
 
 LOSS_KINDS = ("smoothed", "tempered", "normalized")
 
@@ -161,8 +166,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
     """Train on a standardized MOL1 dataset; deterministic for a fixed seed."""
     n = dataset.count
     input_dim = dataset.height * dataset.width * dataset.channels
+    image_shape = dataset.images.shape[1:]
     params = init_params(input_dim, cfg.hidden_units, dataset.num_classes, cfg.seed)
     flat = dataset.images.reshape(n, input_dim)
+    # A run whose every row draws the mode none is the plain run, in pixels.
+    mollify = cfg.mollify and cfg.schedule.mode_probs[0] < 1
+    if mollify:
+        coeffs = dct2d(dataset.images)
+        params.w1 = dct2d(params.w1.reshape(-1, *image_shape)).reshape(-1, input_dim)
     report = TrainReport()
     include_normalizer = cfg.loss == "normalized"
     # The normalized likelihood scores smoothed targets.
@@ -175,15 +186,14 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
         losses = []
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            if cfg.mollify:
-                images = dataset.images[idx]
+            if mollify:
+                batch = coeffs[idx]
                 samples = []
                 for rep in range(cfg.samples_per_image):
                     seed = derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
-                    samples.append(mollify_batch(images, cfg.schedule, seed))
-                # One contiguous (N, D) batch: the matmuls would copy a strided field view.
-                x = np.concatenate([s["image"] for s in samples]).reshape(-1, input_dim)
-                gammas = np.concatenate([s["gamma"] for s in samples])
+                    samples.append(mollify_coeffs(batch, cfg.schedule, seed))
+                x = np.concatenate([rows for rows, _ in samples]).reshape(-1, input_dim)
+                gammas = np.concatenate([g for _, g in samples])
                 labels = np.tile(dataset.labels[idx], cfg.samples_per_image)
             else:
                 x = flat[idx]
@@ -210,6 +220,8 @@ def train(dataset: Mol1Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainRepor
                 seconds=time.perf_counter() - started,
             )
         )
+    if mollify:
+        params.w1 = idct2d(params.w1.reshape(-1, *image_shape)).reshape(-1, input_dim)
     return params, report
 
 

@@ -16,9 +16,11 @@ import scipy.fftpack
 
 from datamoll import synth
 from datamoll.analysis import quantize_for_png
-from datamoll.mollifier import blur_image
+from datamoll.likelihood import soft_labels
+from datamoll.mollifier import blur_image, mollify_batch
 from datamoll.png import png_size
-from datamoll.streams import stream
+from datamoll.streams import derive_seed, stream
+from datamoll.trainer import _TAG_MOLLIFY, _TAG_SHUFFLE, cosine_lr, init_params, loss_and_grad
 from datamoll.tensors import idct2d
 
 
@@ -306,6 +308,33 @@ def integrate_simplex_2d(fn, half_steps: int = 40) -> float:
         return rest * total
 
     return float(sum(wi * inner(xi) for xi, wi in zip(x, w)))
+
+
+def pixel_space_train(dataset, cfg):
+    """Mollified training in pixel space, batch by batch: each epoch's shuffle,
+    each batch's ``mollify_batch`` records per sample, their soft labels, the
+    ``loss_and_grad`` step and plain SGD, with the trainer's stream tags."""
+    n = dataset.count
+    params = init_params(dataset.images[0].size, cfg.hidden_units, dataset.num_classes, cfg.seed)
+    smoothed = cfg.loss != "tempered"
+    for epoch in range(cfg.epochs):
+        order = stream(cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
+        lr = cosine_lr(epoch, cfg)
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start : start + cfg.batch_size]
+            images, gammas, labels = [], [], []
+            for rep in range(cfg.samples_per_image):
+                seed = derive_seed(cfg.seed, _TAG_MOLLIFY, epoch, batch_no, rep)
+                records = mollify_batch(dataset.images[idx], cfg.schedule, seed)
+                images.append(records.image.reshape(len(idx), -1))
+                gammas.append(records.gamma)
+                labels.append(dataset.labels[idx])
+            y = soft_labels(np.concatenate(labels), np.concatenate(gammas),
+                            dataset.num_classes, smoothed)
+            _, grads = loss_and_grad(params, np.concatenate(images), y, cfg.loss == "normalized")
+            for name, arr in params.blocks():
+                arr -= lr * grads[name]
+    return params
 
 
 def finite_difference_grads(loss_fn, params, step: float = 1e-5) -> dict[str, np.ndarray]:

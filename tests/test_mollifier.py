@@ -13,6 +13,7 @@ from datamoll.mollifier import (
     heat_blur,
     heat_multipliers,
     mollify_batch,
+    mollify_coeffs,
     noise_image,
 )
 from datamoll.schedules import (
@@ -364,3 +365,22 @@ class TestMollifyBatch:
         cfg = ScheduleConfig(sigma_max=16.0, mode_probs=(1.0, 0.0, 0.0))
         with pytest.raises(DataError):
             mollify_batch(imgs, cfg, seed=0)
+
+
+class TestMollifyCoeffs:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "mode_probs",
+        [(1 / 3, 1 / 3, 1 / 3), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
+        ids=["default", "noise", "blur", "none"],
+    )
+    @pytest.mark.parametrize("shape", [(40, 16, 16, 1), (24, 12, 10, 3)], ids=["gray", "rgb"])
+    def test_equals_the_dct_of_mollify_batch(self, shape, mode_probs, seed):
+        # Both draw each row from its stream [seed, i] in one order, so only
+        # the DCT's roundoff separates them; the tolerance holds on any CPU.
+        imgs = np.random.default_rng(sum(shape)).standard_normal(shape)
+        cfg = ScheduleConfig.for_width(shape[2], mode_probs=mode_probs)
+        coeffs, gammas = mollify_coeffs(dct2d(imgs), cfg, seed)
+        records = mollify_batch(imgs, cfg, seed)
+        assert gammas.tobytes() == records.gamma.tobytes()
+        assert np.abs(coeffs - dct2d(records.image)).max() <= 1e-12

@@ -33,7 +33,7 @@ from datamoll.trainer import (
     train,
 )
 from tests.helpers import label
-from tests.oracles import finite_difference_grads, max_rel_gradient_error
+from tests.oracles import finite_difference_grads, max_rel_gradient_error, pixel_space_train
 from tests.strategies import JSON_VALUES
 
 
@@ -204,20 +204,20 @@ class TestTrain:
 
     def test_mollified_params_are_pinned(self):
         # SHA-256 of the params, from the code that keys each mollified row's
-        # stream by the Philox key [batch seed, row]: 2 mollified epochs of 2
-        # batches on a grating split.
+        # stream by the Philox key [batch seed, row] and trains in DCT
+        # coordinates: 2 mollified epochs of 2 batches on a grating split.
         raw, labels = grating_dataset(256, seed=5)
         ds = standardized_dataset(raw, labels, 4, provenance="gratings")
         cfg = TrainConfig(schedule=ScheduleConfig.for_width(16), epochs=2, seed=2**63 + 9)
         params, _ = train(ds, cfg)
         digest = hashlib.sha256(b"".join(arr.tobytes() for _, arr in params.blocks()))
         assert digest.hexdigest() == (
-            "482ac31f81be9c20f36900096034f7a6d39cb9076ccaf985d914cd4a31e837af"
+            "30dae719aa363fb906a58ef90728153226c256d191f91b4114fef7103c389632"
         )
 
     def test_two_samples_per_image_params_are_pinned(self):
         # The same run with two mollified samples of each image per batch, so
-        # each batch joins two mollify_batch results; like the pin above, it
+        # each batch joins two mollify_coeffs results; like the pin above, it
         # holds for one host class (np.exp rounds differently under AVX-512).
         raw, labels = grating_dataset(256, seed=5)
         ds = standardized_dataset(raw, labels, 4, provenance="gratings")
@@ -227,8 +227,32 @@ class TestTrain:
         params, _ = train(ds, cfg)
         digest = hashlib.sha256(b"".join(arr.tobytes() for _, arr in params.blocks()))
         assert digest.hexdigest() == (
-            "beb2151daad3b819d76cac07c8a3b15896ff8342d8a59df808c42ed0e6969775"
+            "d2e79e439be2baabc1b5814f38e51ee74912308949fba55c0ef6a4080fdaa934"
         )
+
+    @pytest.mark.parametrize(
+        "shape, samples_per_image",
+        [((96, 16, 16, 1), 1), ((96, 16, 16, 1), 2), ((96, 6, 5, 3), 1)],
+        ids=["gray", "gray-two-samples", "rgb"],
+    )
+    def test_mollified_params_match_the_pixel_space_loop(self, shape, samples_per_image):
+        # The trainer mollifies in DCT coordinates, the oracle pixels with
+        # mollify_batch; the orthonormal DCT leaves SGD the same up to roundoff.
+        rng = np.random.default_rng(sum(shape))
+        ds = Mol1Dataset(
+            images=rng.standard_normal(shape),
+            labels=rng.integers(0, 3, shape[0]),
+            num_classes=3,
+            stats=ChannelStats(mean=np.zeros(shape[3]), std=np.ones(shape[3])),
+        )
+        cfg = TrainConfig(
+            schedule=ScheduleConfig.for_width(shape[2]), epochs=3, batch_size=32, lr=0.1,
+            hidden_units=16, seed=11, samples_per_image=samples_per_image,
+        )
+        params, _ = train(ds, cfg)
+        expected = pixel_space_train(ds, cfg)
+        for (name, got), (_, want) in zip(params.blocks(), expected.blocks()):
+            assert np.allclose(got, want, rtol=0, atol=1e-10), name
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("samples_per_image", [1, 2])
